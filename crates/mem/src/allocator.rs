@@ -20,6 +20,12 @@ pub enum AllocError {
     },
     /// A zero-byte allocation was requested.
     ZeroSize,
+    /// A free of an address that is not a live block: a double free or a
+    /// wild pointer.
+    InvalidFree {
+        /// The address passed to the free.
+        addr: VirtAddr,
+    },
 }
 
 impl fmt::Display for AllocError {
@@ -29,6 +35,10 @@ impl fmt::Display for AllocError {
                 write!(f, "simulated heap exhausted allocating {requested} bytes")
             }
             AllocError::ZeroSize => write!(f, "zero-byte allocation requested"),
+            AllocError::InvalidFree { addr } => write!(
+                f,
+                "free of {addr}, which is not a live block (double free or wild pointer)"
+            ),
         }
     }
 }
@@ -244,12 +254,12 @@ impl SimAllocator {
     ///
     /// # Errors
     ///
-    /// Returns [`AllocError::ZeroSize`] if `addr` does not correspond to a
-    /// live block (double free or wild pointer).
+    /// Returns [`AllocError::InvalidFree`] if `addr` does not correspond to
+    /// a live block (double free or wild pointer).
     pub fn free(&mut self, addr: VirtAddr) -> Result<(), AllocError> {
         let user = addr.as_u64();
         let Some((gross, size)) = self.live.remove(&user) else {
-            return Err(AllocError::ZeroSize);
+            return Err(AllocError::InvalidFree { addr });
         };
         self.stats.frees += 1;
         self.stats.live_user_bytes -= size;
@@ -373,7 +383,12 @@ mod tests {
         let mut h = heap();
         let a = h.alloc(16).unwrap();
         h.free(a).unwrap();
-        assert!(h.free(a).is_err());
+        let err = h.free(a).unwrap_err();
+        assert_eq!(err, AllocError::InvalidFree { addr: a });
+        assert_eq!(
+            err.to_string(),
+            format!("free of {a}, which is not a live block (double free or wild pointer)")
+        );
     }
 
     #[test]

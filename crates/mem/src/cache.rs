@@ -1,4 +1,4 @@
-//! Set-associative write-back L1 cache simulator.
+//! Set-associative write-back cache simulator (the L1 and the optional L2).
 
 use crate::config::{CacheConfig, ReplacementPolicy};
 use crate::VirtAddr;
@@ -38,15 +38,6 @@ impl CacheStats {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    /// Monotonic timestamp of last touch, for LRU.
-    stamp: u64,
-}
-
 /// Outcome of a single line-sized cache access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LineAccess {
@@ -59,12 +50,36 @@ pub struct LineAccess {
     pub victim_line: Option<u64>,
 }
 
+/// How a line index splits into a set index and a tag.
+#[derive(Debug, Clone, Copy)]
+enum SetIndex {
+    /// Power-of-two set count: `set = line & mask`, `tag = line >> shift`.
+    Pow2 { mask: u64, shift: u32 },
+    /// Any other set count: `set = line % sets`, `tag = line / sets`.
+    Modulo(u64),
+}
+
+/// Tag word of a way in `Cache::ways`.
+const TAG: usize = 0;
+/// Stamp word of a way: `clock << 1 | dirty` at the last touch that set
+/// it. Zero marks an invalid way, because the clock is at least 1 by the
+/// time a way is filled.
+const STAMP: usize = 1;
+
 /// A set-associative, write-back, write-allocate cache with configurable
 /// replacement ([`ReplacementPolicy`]; LRU by default).
 ///
 /// The cache stores no data — only tags — because the simulation needs
 /// timing and energy, not values. One [`Cache::access`] call covers exactly
 /// one cache line; [`crate::MemorySystem`] splits larger transfers.
+///
+/// # Layout
+///
+/// Ways live in one flat, set-major array: set `s` is
+/// `ways[s * n_ways..(s + 1) * n_ways]`, and four 16-byte ways share a
+/// 64-byte host cache line. The set and tag come from shifts and a mask
+/// when the set count is a power of two, and from `%` and `/` otherwise
+/// (see the crate docs).
 ///
 /// # Example
 ///
@@ -82,7 +97,12 @@ pub struct LineAccess {
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    sets: Vec<Vec<Line>>,
+    /// Set-major `[tag, stamp]` pairs, indexed by `TAG` and `STAMP`.
+    ways: Vec<[u64; 2]>,
+    n_ways: usize,
+    n_sets: u64,
+    line_shift: u32,
+    index: SetIndex,
     clock: u64,
     /// Deterministic xorshift state for [`ReplacementPolicy::Random`].
     rng: u64,
@@ -98,10 +118,23 @@ impl Cache {
     #[must_use]
     pub fn new(cfg: CacheConfig) -> Self {
         cfg.validate().expect("invalid cache configuration");
-        let sets = cfg.sets() as usize;
+        let n_sets = cfg.sets();
+        let n_ways = cfg.ways as usize;
+        let index = if n_sets.is_power_of_two() {
+            SetIndex::Pow2 {
+                mask: n_sets - 1,
+                shift: n_sets.trailing_zeros(),
+            }
+        } else {
+            SetIndex::Modulo(n_sets)
+        };
         Cache {
             cfg,
-            sets: vec![vec![Line::default(); cfg.ways as usize]; sets],
+            ways: vec![[0; 2]; n_sets as usize * n_ways],
+            n_ways,
+            n_sets,
+            line_shift: cfg.line_bytes.trailing_zeros(),
+            index,
             clock: 0,
             rng: 0x9E37_79B9_7F4A_7C15,
             stats: CacheStats::default(),
@@ -138,21 +171,25 @@ impl Cache {
     /// Like [`Cache::access`], but also reports which line was evicted so
     /// a multi-level hierarchy can route the writeback to the correct
     /// next-level set.
+    #[inline]
     pub fn access_line(&mut self, addr: VirtAddr, write: bool) -> LineAccess {
         self.clock += 1;
-        let line_idx = addr.line_index(self.cfg.line_bytes);
-        let n_sets = self.sets.len() as u64;
-        let set_idx = (line_idx % n_sets) as usize;
-        let tag = line_idx / n_sets;
-        let set = &mut self.sets[set_idx];
+        let line = addr.as_u64() >> self.line_shift;
+        let (set, tag) = match self.index {
+            SetIndex::Pow2 { mask, shift } => (line & mask, line >> shift),
+            SetIndex::Modulo(n_sets) => (line % n_sets, line / n_sets),
+        };
+        let first = set as usize * self.n_ways;
+        let ways = &mut self.ways[first..first + self.n_ways];
+        let dirty = u64::from(write);
 
-        if let Some(way) = set.iter_mut().find(|l| l.valid && l.tag == tag) {
+        if let Some(way) = ways.iter_mut().find(|w| w[TAG] == tag && w[STAMP] != 0) {
             // FIFO and Random keep the fill-time stamp; only LRU refreshes
             // recency on a hit.
             if self.cfg.replacement == ReplacementPolicy::Lru {
-                way.stamp = self.clock;
+                way[STAMP] = self.clock << 1 | (way[STAMP] & 1);
             }
-            way.dirty |= write;
+            way[STAMP] |= dirty;
             if write {
                 self.stats.write_hits += 1;
             } else {
@@ -165,23 +202,24 @@ impl Cache {
             };
         }
 
-        // Miss: allocate (write-allocate policy) over the LRU way.
+        // Miss: allocate (write-allocate policy) over the victim way.
         if write {
             self.stats.write_misses += 1;
         } else {
             self.stats.read_misses += 1;
         }
-        let victim = if let Some(invalid) = set.iter().position(|l| !l.valid) {
+        let victim = if let Some(invalid) = ways.iter().position(|w| w[STAMP] == 0) {
             invalid
         } else {
             match self.cfg.replacement {
                 // LRU evicts the least recently touched way; FIFO the
                 // oldest-filled (stamps are only refreshed under LRU, so
-                // the same min-stamp scan serves both).
-                ReplacementPolicy::Lru | ReplacementPolicy::Fifo => set
+                // the same min-stamp scan serves both). Stamps of one set
+                // are distinct, so the dirty bit never decides.
+                ReplacementPolicy::Lru | ReplacementPolicy::Fifo => ways
                     .iter()
                     .enumerate()
-                    .min_by_key(|(_, l)| l.stamp)
+                    .min_by_key(|(_, w)| w[STAMP])
                     .map(|(i, _)| i)
                     .expect("cache set has at least one way"),
                 ReplacementPolicy::Random => {
@@ -189,20 +227,17 @@ impl Cache {
                     self.rng ^= self.rng << 13;
                     self.rng ^= self.rng >> 7;
                     self.rng ^= self.rng << 17;
-                    (self.rng % set.len() as u64) as usize
+                    (self.rng % self.n_ways as u64) as usize
                 }
             }
         };
-        let victim = &mut set[victim];
-        let writeback = victim.valid && victim.dirty;
+        let way = &mut ways[victim];
+        let writeback = way[STAMP] & 1 == 1;
         if writeback {
             self.stats.writebacks += 1;
         }
-        let victim_line = writeback.then(|| victim.tag * n_sets + set_idx as u64);
-        victim.valid = true;
-        victim.dirty = write;
-        victim.tag = tag;
-        victim.stamp = self.clock;
+        let victim_line = writeback.then(|| way[TAG] * self.n_sets + set);
+        *way = [tag, self.clock << 1 | dirty];
         LineAccess {
             hit: false,
             writeback,
@@ -213,11 +248,7 @@ impl Cache {
     /// Number of currently valid lines (useful in tests).
     #[must_use]
     pub fn valid_lines(&self) -> usize {
-        self.sets
-            .iter()
-            .flat_map(|s| s.iter())
-            .filter(|l| l.valid)
-            .count()
+        self.ways.iter().filter(|w| w[STAMP] != 0).count()
     }
 }
 

@@ -19,6 +19,23 @@
 //! bit-identical reports, which the exploration methodology requires in order
 //! to compare hundreds of simulations fairly.
 //!
+//! # The access path
+//!
+//! Every modelled access goes through [`MemorySystem::read`] or
+//! [`MemorySystem::write`], hundreds of times per simulated packet. A
+//! [`Cache`] keeps its ways in one flat, zero-initialised, set-major array
+//! of 16-byte `[tag, stamp]` pairs. Line indices are shifts, since line
+//! sizes are validated powers of two. When the set count is a power of
+//! two, as in every [`MemoryPreset`], the set and the tag are a mask and a
+//! shift of the line index; any other set count [`CacheConfig::validate`]
+//! accepts (e.g. 24 KiB 4-way = 192 sets) falls back to `%` and `/`. The
+//! per-access energy of the data array depends only on the live heap size,
+//! so [`MemorySystem`] recomputes it in `alloc` and `free`, the only calls
+//! that change it, rather than on every access. None of this moves a
+//! statistic: the engine's golden corpus pins every `CostReport` bit for
+//! bit, and a property test checks the cache against a one-vector-per-set
+//! reference model.
+//!
 //! # Example
 //!
 //! ```

@@ -50,6 +50,12 @@ pub struct MemorySystem {
     spm_next: u64,
     /// Per-access energy of the scratchpad array.
     spm_access_nj: f64,
+    /// Per-access energy of the data array at the current live heap
+    /// size; only `alloc` and `free` change that size, so only they
+    /// refresh it.
+    data_access_nj: f64,
+    /// `log2` of the (validated power-of-two) L1 line size.
+    line_shift: u32,
     stats: MemStats,
 }
 
@@ -88,6 +94,8 @@ impl MemorySystem {
             energy,
             spm_next: SPM_BASE,
             spm_access_nj,
+            data_access_nj: energy.data_access_nj(0),
+            line_shift: cfg.l1.line_bytes.trailing_zeros(),
             stats: MemStats::default(),
         }
     }
@@ -98,6 +106,7 @@ impl MemorySystem {
     pub fn with_energy_model(cfg: MemoryConfig, energy: EnergyModel) -> Self {
         let mut sys = Self::new(cfg);
         sys.energy = energy;
+        sys.refresh_data_access_nj();
         sys
     }
 
@@ -121,6 +130,7 @@ impl MemorySystem {
     /// Propagates [`AllocError`] from the underlying allocator.
     pub fn alloc(&mut self, size: u64) -> Result<VirtAddr, AllocError> {
         let addr = self.alloc.alloc(size)?;
+        self.refresh_data_access_nj();
         let cost = self.cfg.alloc_cost;
         self.charge_meta(cost.accesses_per_alloc, cost.cycles_per_alloc);
         self.stats.allocs += 1;
@@ -131,9 +141,11 @@ impl MemorySystem {
     ///
     /// # Errors
     ///
-    /// Propagates [`AllocError`] on double free / wild pointer.
+    /// Propagates [`AllocError::InvalidFree`] when `addr` is not a live
+    /// heap block (double free or wild pointer).
     pub fn free(&mut self, addr: VirtAddr) -> Result<(), AllocError> {
         self.alloc.free(addr)?;
+        self.refresh_data_access_nj();
         let cost = self.cfg.alloc_cost;
         self.charge_meta(cost.accesses_per_free, cost.cycles_per_free);
         self.stats.frees += 1;
@@ -176,6 +188,7 @@ impl MemorySystem {
 
     /// Whether `addr` falls inside the configured scratchpad region.
     #[must_use]
+    #[inline]
     pub fn is_spm_addr(&self, addr: VirtAddr) -> bool {
         self.cfg
             .spm
@@ -185,6 +198,7 @@ impl MemorySystem {
     /// Issues a read of `size` bytes starting at `addr`.
     ///
     /// Returns the cycle cost of this transaction.
+    #[inline]
     pub fn read(&mut self, addr: VirtAddr, size: u64) -> u64 {
         self.transact(addr, size, false)
     }
@@ -192,12 +206,14 @@ impl MemorySystem {
     /// Issues a write of `size` bytes starting at `addr`.
     ///
     /// Returns the cycle cost of this transaction.
+    #[inline]
     pub fn write(&mut self, addr: VirtAddr, size: u64) -> u64 {
         self.transact(addr, size, true)
     }
 
     /// Charges `ops` pure CPU operations (comparisons, pointer arithmetic)
     /// that do not touch memory.
+    #[inline]
     pub fn touch_cpu(&mut self, ops: u64) {
         let cycles = ops * self.cfg.cpu_op_cycles;
         self.stats.cycles += cycles;
@@ -300,6 +316,15 @@ impl MemorySystem {
         cycles
     }
 
+    /// CACTI effect: the data memory serving the heap is sized to what
+    /// the application allocates, so its per-access energy depends on the
+    /// live footprint (latency does not, at this abstraction).
+    fn refresh_data_access_nj(&mut self) {
+        self.data_access_nj = self
+            .energy
+            .data_access_nj(self.alloc.stats().live_gross_bytes);
+    }
+
     fn charge_meta(&mut self, accesses: u64, cycles: u64) {
         // Allocator metadata is small and hot: model it as L1-resident.
         self.stats.reads += accesses / 2;
@@ -309,6 +334,7 @@ impl MemorySystem {
             + self.energy.leakage_nj_per_cycle * cycles as f64;
     }
 
+    #[inline]
     fn transact(&mut self, addr: VirtAddr, size: u64, write: bool) -> u64 {
         debug_assert!(size > 0, "zero-size transaction");
         if self.is_spm_addr(addr) {
@@ -328,21 +354,15 @@ impl MemorySystem {
                 self.spm_access_nj + self.energy.leakage_nj_per_cycle * cycles as f64;
             return cycles;
         }
-        let line = self.cfg.l1.line_bytes;
-        let first = addr.line_index(line);
-        let last = addr.offset(size.saturating_sub(1)).line_index(line);
+        let shift = self.line_shift;
+        let first = addr.as_u64() >> shift;
+        let last = addr.offset(size.saturating_sub(1)).as_u64() >> shift;
         let mut cycles = 0;
-        // CACTI effect: the data memory serving the heap is sized to what
-        // the application allocates, so its per-access energy depends on
-        // the live footprint (latency does not, at this abstraction).
-        let data_nj = self
-            .energy
-            .data_access_nj(self.alloc.stats().live_gross_bytes);
         for li in first..=last {
-            let line_addr = VirtAddr::new(li * line);
+            let line_addr = VirtAddr::new(li << shift);
             let outcome = self.l1.access_line(line_addr, write);
             cycles += self.cfg.l1.hit_cycles;
-            self.stats.energy_nj += data_nj;
+            self.stats.energy_nj += self.data_access_nj;
             if !outcome.hit {
                 // Miss: fill from the L2 (when present) or the backing
                 // store.
@@ -350,7 +370,7 @@ impl MemorySystem {
             }
             if let Some(victim) = outcome.victim_line {
                 // Dirty eviction: write the victim line to the next level.
-                cycles += self.next_level_write(VirtAddr::new(victim * line));
+                cycles += self.next_level_write(VirtAddr::new(victim << shift));
             }
         }
         if write {
@@ -455,7 +475,10 @@ mod tests {
         let mut m = sys();
         let a = m.alloc(8).unwrap();
         m.free(a).unwrap();
-        assert!(m.free(a).is_err());
+        let err = m.free(a).unwrap_err();
+        assert_eq!(err, AllocError::InvalidFree { addr: a });
+        assert!(err.to_string().contains("double free"), "{err}");
+        assert_eq!(m.stats().frees, 1, "a rejected free is not counted");
     }
 
     #[test]

@@ -1,7 +1,129 @@
 //! Property-based tests for the simulated memory subsystem.
 
-use ddtr_mem::{Cache, CacheConfig, MemoryConfig, MemorySystem, SimAllocator, VirtAddr};
+use ddtr_mem::{
+    Cache, CacheConfig, CacheStats, LineAccess, MemoryConfig, MemorySystem, ReplacementPolicy,
+    SimAllocator, VirtAddr,
+};
 use proptest::prelude::*;
+
+/// Reference model of [`Cache`]: one vector of lines per set, with the
+/// line, set and tag found by division. The flat, shift-indexed `Cache`
+/// must agree with it on every access.
+struct RefCache {
+    cfg: CacheConfig,
+    sets: Vec<Vec<RefLine>>,
+    clock: u64,
+    rng: u64,
+    stats: CacheStats,
+}
+
+#[derive(Debug, Clone, Copy, Default)]
+struct RefLine {
+    tag: u64,
+    valid: bool,
+    dirty: bool,
+    stamp: u64,
+}
+
+impl RefCache {
+    fn new(cfg: CacheConfig) -> Self {
+        RefCache {
+            cfg,
+            sets: vec![vec![RefLine::default(); cfg.ways as usize]; cfg.sets() as usize],
+            clock: 0,
+            rng: 0x9E37_79B9_7F4A_7C15,
+            stats: CacheStats::default(),
+        }
+    }
+
+    fn access_line(&mut self, addr: VirtAddr, write: bool) -> LineAccess {
+        self.clock += 1;
+        let line_idx = addr.line_index(self.cfg.line_bytes);
+        let n_sets = self.sets.len() as u64;
+        let set_idx = (line_idx % n_sets) as usize;
+        let tag = line_idx / n_sets;
+        let set = &mut self.sets[set_idx];
+        if let Some(way) = set.iter_mut().find(|l| l.valid && l.tag == tag) {
+            if self.cfg.replacement == ReplacementPolicy::Lru {
+                way.stamp = self.clock;
+            }
+            way.dirty |= write;
+            if write {
+                self.stats.write_hits += 1;
+            } else {
+                self.stats.read_hits += 1;
+            }
+            return LineAccess {
+                hit: true,
+                writeback: false,
+                victim_line: None,
+            };
+        }
+        if write {
+            self.stats.write_misses += 1;
+        } else {
+            self.stats.read_misses += 1;
+        }
+        let victim = if let Some(invalid) = set.iter().position(|l| !l.valid) {
+            invalid
+        } else {
+            match self.cfg.replacement {
+                ReplacementPolicy::Lru | ReplacementPolicy::Fifo => set
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|(_, l)| l.stamp)
+                    .map(|(i, _)| i)
+                    .expect("at least one way"),
+                ReplacementPolicy::Random => {
+                    self.rng ^= self.rng << 13;
+                    self.rng ^= self.rng >> 7;
+                    self.rng ^= self.rng << 17;
+                    (self.rng % set.len() as u64) as usize
+                }
+            }
+        };
+        let victim = &mut set[victim];
+        let writeback = victim.valid && victim.dirty;
+        if writeback {
+            self.stats.writebacks += 1;
+        }
+        let victim_line = writeback.then(|| victim.tag * n_sets + set_idx as u64);
+        *victim = RefLine {
+            tag,
+            valid: true,
+            dirty: write,
+            stamp: self.clock,
+        };
+        LineAccess {
+            hit: false,
+            writeback,
+            victim_line,
+        }
+    }
+
+    fn valid_lines(&self) -> usize {
+        self.sets.iter().flatten().filter(|l| l.valid).count()
+    }
+}
+
+/// Cache geometries with power-of-two and other set counts (1..=96), 1–16
+/// ways, 1–128-byte lines and every replacement policy.
+fn geometries() -> impl Strategy<Value = CacheConfig> {
+    (0u32..8, 1u32..=16, 1u64..=96, 0usize..3).prop_map(|(line_log2, ways, sets, policy)| {
+        let line_bytes = 1u64 << line_log2;
+        CacheConfig {
+            capacity_bytes: sets * u64::from(ways) * line_bytes,
+            line_bytes,
+            ways,
+            hit_cycles: 1,
+            replacement: [
+                ReplacementPolicy::Lru,
+                ReplacementPolicy::Fifo,
+                ReplacementPolicy::Random,
+            ][policy],
+        }
+    })
+}
 
 /// Operations applied to the allocator under test.
 #[derive(Debug, Clone)]
@@ -125,6 +247,28 @@ proptest! {
         let s = cache.stats();
         prop_assert_eq!(s.accesses(), ops.len() as u64);
         prop_assert!(s.writebacks <= s.read_misses + s.write_misses);
+    }
+
+    /// The flat cache matches the reference model access for access: same
+    /// hit, writeback and victim line, same counters and resident lines.
+    /// Addresses span four times the capacity, so streams mix hits,
+    /// conflict evictions and dirty writebacks.
+    #[test]
+    fn cache_matches_reference_model(
+        cfg in geometries(),
+        ops in prop::collection::vec((any::<u64>(), any::<bool>()), 1..400)
+    ) {
+        let mut cache = Cache::new(cfg);
+        let mut model = RefCache::new(cfg);
+        let span = 4 * cfg.capacity_bytes;
+        for (i, (raw, write)) in ops.iter().enumerate() {
+            let addr = VirtAddr::new(raw % span);
+            let got = cache.access_line(addr, *write);
+            let want = model.access_line(addr, *write);
+            prop_assert_eq!(got, want, "access {} to {} under {:?}", i, addr, cfg);
+        }
+        prop_assert_eq!(cache.stats(), model.stats);
+        prop_assert_eq!(cache.valid_lines(), model.valid_lines());
     }
 
     /// The composed system is deterministic: same op sequence, same report.
