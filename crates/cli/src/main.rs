@@ -30,10 +30,13 @@
 //! * `--trace-json <file>` — write the run's recorded spans as Chrome
 //!   trace-event JSON (loads in Perfetto / `chrome://tracing`).
 //!
-//! `explore`, `pareto`, `report` and `ga` additionally take `--stream`:
-//! packets are then generated into each simulation on the fly (constant
-//! memory regardless of trace length, byte-identical results) instead of
-//! materializing traces up front. `scenarios` and `sweep` always stream.
+//! They also accept `--stream` and ignore it: the engine itself decides
+//! whether a workload is generated once per batch or streamed into each
+//! simulation (see `ddtr_engine::MATERIALIZE_MAX_PACKETS`).
+//!
+//! `profile`, `explore`, `pareto`, `report`, `ga`, `scenarios` and
+//! `sweep` reject flags they do not take and stray positionals; the
+//! application may come before or after the flags.
 //!
 //! Every simulating subcommand also takes `--mem <preset>` to pick the
 //! platform from the memory-hierarchy catalog (`embedded`, `l2`,
@@ -88,17 +91,17 @@ fn main() -> ExitCode {
 
 const USAGE: &str = "\
 usage:
-  ddtr profile <route|url|ipchains|drr|nat> [--quick]
-  ddtr explore <route|url|ipchains|drr|nat> [--quick] [--extended] [--stream] [--json]
+  ddtr profile <route|url|ipchains|drr|nat> [--quick] [--extended] [--mem <preset>]
+  ddtr explore <route|url|ipchains|drr|nat> [--quick] [--extended] [--json]
+               [--logs <path>] [--mem <preset>] [engine flags]
+  ddtr pareto  <route|url|ipchains|drr|nat> [--quick] [--extended]
                [--mem <preset>] [engine flags]
-  ddtr pareto  <route|url|ipchains|drr|nat> [--quick] [--extended] [--stream]
-               [--mem <preset>] [engine flags]
-  ddtr report  <route|url|ipchains|drr|nat> [--quick] [--extended] [--stream]
+  ddtr report  <route|url|ipchains|drr|nat> [--quick] [--extended]
                [--mem <preset>] [engine flags]
   ddtr trace   <preset> <packets>
   ddtr params  <preset> <packets>
   ddtr replay  <logs.jsonl>
-  ddtr ga      <route|url|ipchains|drr|nat> [--quick] [--extended] [--stream] [--seed N]
+  ddtr ga      <route|url|ipchains|drr|nat> [--quick] [--extended] [--seed N]
                [--stall N] [--mem <preset>] [engine flags]
   ddtr scenarios [<route|url|ipchains|drr|nat>] [--quick] [--extended] [--base <preset>]
                [--packets N] [--mem <preset>] [engine flags]
@@ -127,10 +130,10 @@ engine flags (simulating subcommands):
   --trace-json <f>   write the run's spans as Chrome trace-event JSON
                      (loads in Perfetto / chrome://tracing)
 
---stream generates packets into each simulation on the fly: constant
-memory at any trace length, byte-identical results. `ddtr scenarios`
-runs the app x scenario matrix (baseline, bursty, flash-crowd, ddos-syn,
-phase-shift) over the base network and always streams.
+profile through sweep reject flags they do not take; --stream is
+accepted and ignored (the engine picks how packets reach the
+simulator). `ddtr scenarios` runs the app x scenario matrix (baseline,
+bursty, flash-crowd, ddos-syn, phase-shift) over the base network.
 
 --mem picks the platform from the memory-hierarchy catalog (`ddtr
 mem-presets` lists it). `ddtr sweep` takes a comma-separated list and
@@ -162,10 +165,24 @@ const FLAG_MEM: &str = "--mem";
 const FLAG_TRACE_JSON: &str = "--trace-json";
 
 /// Engine flags that consume a value. `engine_from`/`cache_dir_of` parse
-/// exactly these constants and the `scenarios` positional scanner skips
-/// them, so adding a value-taking engine flag cannot desynchronise the
-/// two.
+/// exactly these constants and the strict positional scanner skips them,
+/// so adding a value-taking engine flag cannot desynchronise the two.
 const ENGINE_VALUE_FLAGS: [&str; 3] = [FLAG_JOBS, FLAG_CACHE_DIR, FLAG_TRACE_JSON];
+
+/// The flags an application-taking subcommand accepts beyond `--quick`,
+/// `--extended` and the no-op `--stream`: its value flags, its boolean
+/// flags, and whether the engine flags (`ENGINE_VALUE_FLAGS`,
+/// `--no-cache`) apply.
+fn command_flags(subcommand: &str) -> (&'static [&'static str], &'static [&'static str], bool) {
+    match subcommand {
+        "profile" => (&[FLAG_MEM], &[], false),
+        "explore" => (&[FLAG_MEM, "--logs"], &["--json"], true),
+        "ga" => (&[FLAG_MEM, "--seed", "--stall"], &[], true),
+        "scenarios" => (&["--base", "--packets", FLAG_MEM], &[], true),
+        "sweep" => (&["--base", "--packets", FLAG_MEM, "--scenario"], &[], true),
+        _ => (&[FLAG_MEM], &[], true), // pareto, report
+    }
+}
 
 fn run(args: &[String]) -> Result<(), String> {
     let mut it = args.iter();
@@ -232,30 +249,28 @@ fn repeated_flag_values<'a>(rest: &[&'a String], flag: &str) -> Result<Vec<&'a S
         .collect()
 }
 
-/// Strict argument scan for the matrix subcommands (`scenarios`,
-/// `sweep`): every flag must be a known value flag (`extra_value_flags`
-/// plus the engine flags) or a known boolean flag, and at most one bare
-/// positional — the optional application restricting the matrix to one
-/// row — is allowed. Unknown flags and stray positionals are errors, not
-/// silently ignored full-matrix runs.
-fn scan_app_positional<'a>(
-    rest: &[&'a String],
-    cmd: &str,
-    extra_value_flags: &[&str],
-) -> Result<Option<&'a String>, String> {
-    let mut value_flags = extra_value_flags.to_vec();
-    value_flags.extend(ENGINE_VALUE_FLAGS);
-    // `--stream` is accepted as a no-op: these subcommands always
-    // stream, and scripts uniformly appending it to simulating
-    // subcommands should not break here.
-    let bool_flags = ["--quick", "--extended", "--no-cache", "--stream"];
+/// Strict argument scan of an application-taking subcommand: every flag
+/// must be one [`command_flags`] lists for `cmd`, and at most one bare
+/// positional — the application — is allowed. Unknown flags and stray
+/// positionals are errors, not silently ignored.
+fn scan_app_positional<'a>(rest: &[&'a String], cmd: &str) -> Result<Option<&'a String>, String> {
+    let (values, bools, engine) = command_flags(cmd);
+    let takes_value = |a: &str| values.contains(&a) || (engine && ENGINE_VALUE_FLAGS.contains(&a));
+    let is_bool = |a: &str| {
+        ["--quick", "--extended", "--stream"].contains(&a)
+            || bools.contains(&a)
+            || (engine && a == "--no-cache")
+    };
     let mut positionals = Vec::new();
     let mut i = 0;
     while i < rest.len() {
         let arg = rest[i].as_str();
-        if value_flags.contains(&arg) {
-            i += 2;
-        } else if bool_flags.contains(&arg) {
+        if takes_value(arg) {
+            match rest.get(i + 1) {
+                Some(v) if !v.starts_with("--") => i += 2,
+                _ => return Err(format!("{arg} needs a value")),
+            }
+        } else if is_bool(arg) {
             i += 1;
         } else if arg.starts_with("--") {
             return Err(format!("unknown {cmd} flag `{arg}`"));
@@ -335,12 +350,16 @@ fn engine_stats_line(engine: &ExploreEngine) -> String {
     })
 }
 
-fn parse_app(rest: &[&String]) -> Result<(AppKind, MethodologyConfig), String> {
-    let app: AppKind = rest
-        .first()
+/// The application of a subcommand that requires one.
+fn required_app(rest: &[&String], cmd: &str) -> Result<AppKind, String> {
+    scan_app_positional(rest, cmd)?
         .ok_or("missing application name")?
         .parse()
-        .map_err(|e| format!("{e}"))?;
+        .map_err(|e| format!("{e}"))
+}
+
+fn parse_app(rest: &[&String], cmd: &str) -> Result<(AppKind, MethodologyConfig), String> {
+    let app = required_app(rest, cmd)?;
     let quick = rest.iter().any(|a| a.as_str() == "--quick");
     let mut cfg = if quick {
         MethodologyConfig::quick(app)
@@ -350,9 +369,6 @@ fn parse_app(rest: &[&String]) -> Result<(AppKind, MethodologyConfig), String> {
     if rest.iter().any(|a| a.as_str() == "--extended") {
         cfg.candidates = DdtKind::EXTENDED.to_vec();
     }
-    if rest.iter().any(|a| a.as_str() == "--stream") {
-        cfg.streaming = true;
-    }
     if let Some(name) = flag_value(rest, FLAG_MEM)? {
         cfg.mem = name.parse::<MemoryPreset>()?.config();
     }
@@ -360,7 +376,7 @@ fn parse_app(rest: &[&String]) -> Result<(AppKind, MethodologyConfig), String> {
 }
 
 fn profile(rest: &[&String]) -> Result<(), String> {
-    let (app, cfg) = parse_app(rest)?;
+    let (app, cfg) = parse_app(rest, "profile")?;
     let report = profile_application(&cfg).map_err(|e| e.to_string())?;
     println!("# dominant-DDT profile of {app}");
     for slot in &report.slots {
@@ -384,7 +400,7 @@ fn profile(rest: &[&String]) -> Result<(), String> {
 }
 
 fn explore(rest: &[&String]) -> Result<(), String> {
-    let (app, cfg) = parse_app(rest)?;
+    let (app, cfg) = parse_app(rest, "explore")?;
     let mut engine = engine_from(rest)?;
     let outcome = Methodology::new(cfg)
         .run_with(&mut engine)
@@ -433,7 +449,7 @@ fn explore(rest: &[&String]) -> Result<(), String> {
 }
 
 fn pareto(rest: &[&String]) -> Result<(), String> {
-    let (app, cfg) = parse_app(rest)?;
+    let (app, cfg) = parse_app(rest, "pareto")?;
     let mut engine = engine_from(rest)?;
     let outcome = Methodology::new(cfg)
         .run_with(&mut engine)
@@ -456,7 +472,7 @@ fn pareto(rest: &[&String]) -> Result<(), String> {
 }
 
 fn report(rest: &[&String]) -> Result<(), String> {
-    let (app, cfg) = parse_app(rest)?;
+    let (app, cfg) = parse_app(rest, "report")?;
     let mut engine = engine_from(rest)?;
     let outcome = Methodology::new(cfg.clone())
         .run_with(&mut engine)
@@ -538,11 +554,7 @@ fn replay(rest: &[&String]) -> Result<(), String> {
 }
 
 fn ga(rest: &[&String]) -> Result<(), String> {
-    let app: AppKind = rest
-        .first()
-        .ok_or("missing application name")?
-        .parse()
-        .map_err(|e| format!("{e}"))?;
+    let app = required_app(rest, "ga")?;
     let mut cfg = if rest.iter().any(|a| a.as_str() == "--quick") {
         GaConfig::quick(app)
     } else {
@@ -550,9 +562,6 @@ fn ga(rest: &[&String]) -> Result<(), String> {
     };
     if rest.iter().any(|a| a.as_str() == "--extended") {
         cfg.candidates = DdtKind::EXTENDED.to_vec();
-    }
-    if rest.iter().any(|a| a.as_str() == "--stream") {
-        cfg.streaming = true;
     }
     if let Some(seed) = flag_value(rest, "--seed")? {
         cfg.seed = seed.parse().map_err(|e| format!("bad seed: {e}"))?;
@@ -610,7 +619,7 @@ fn scenarios(rest: &[&String]) -> Result<(), String> {
     if rest.iter().any(|a| a.as_str() == "--extended") {
         cfg.candidates = DdtKind::EXTENDED.to_vec();
     }
-    if let Some(app) = scan_app_positional(rest, "scenarios", &["--base", "--packets", FLAG_MEM])? {
+    if let Some(app) = scan_app_positional(rest, "scenarios")? {
         cfg.apps = vec![app.parse().map_err(|e| format!("{e}"))?];
     }
     if let Some(packets) = flag_value(rest, "--packets")? {
@@ -681,11 +690,7 @@ fn sweep(rest: &[&String]) -> Result<(), String> {
     if rest.iter().any(|a| a.as_str() == "--extended") {
         cfg.candidates = DdtKind::EXTENDED.to_vec();
     }
-    if let Some(app) = scan_app_positional(
-        rest,
-        "sweep",
-        &["--base", "--packets", FLAG_MEM, "--scenario"],
-    )? {
+    if let Some(app) = scan_app_positional(rest, "sweep")? {
         cfg.apps = vec![app.parse().map_err(|e| format!("{e}"))?];
     }
     let scenario_names = repeated_flag_values(rest, "--scenario")?;
@@ -1237,12 +1242,12 @@ mod tests {
     fn parse_app_selects_quick_config() {
         let binding = args(&["drr", "--quick"]);
         let rest: Vec<&String> = binding.iter().collect();
-        let (app, cfg) = parse_app(&rest).expect("parses");
+        let (app, cfg) = parse_app(&rest, "explore").expect("parses");
         assert_eq!(app, AppKind::Drr);
         assert_eq!(cfg.networks.len(), 2, "quick config uses two networks");
         let binding = args(&["drr"]);
         let rest: Vec<&String> = binding.iter().collect();
-        let (_, cfg) = parse_app(&rest).expect("parses");
+        let (_, cfg) = parse_app(&rest, "explore").expect("parses");
         assert_eq!(cfg.networks.len(), 5, "paper config uses the full sweep");
     }
 
@@ -1273,7 +1278,7 @@ mod tests {
     fn parse_app_honours_extended_flag() {
         let binding = args(&["drr", "--quick", "--extended"]);
         let rest: Vec<&String> = binding.iter().collect();
-        let (_, cfg) = parse_app(&rest).expect("parses");
+        let (_, cfg) = parse_app(&rest, "explore").expect("parses");
         assert_eq!(cfg.candidates.len(), 12);
     }
 
@@ -1329,27 +1334,46 @@ mod tests {
     }
 
     #[test]
-    fn parse_app_honours_stream_flag() {
-        let binding = args(&["drr", "--quick", "--stream"]);
-        let rest: Vec<&String> = binding.iter().collect();
-        let (_, cfg) = parse_app(&rest).expect("parses");
-        assert!(cfg.streaming);
-        let binding = args(&["drr", "--quick"]);
-        let rest: Vec<&String> = binding.iter().collect();
-        let (_, cfg) = parse_app(&rest).expect("parses");
-        assert!(!cfg.streaming);
+    fn stream_flag_is_an_accepted_no_op() {
+        let parse = |list: &[&str]| {
+            let binding = args(list);
+            let rest: Vec<&String> = binding.iter().collect();
+            let (_, cfg) = parse_app(&rest, "explore").expect("parses");
+            serde_json::to_string(&cfg).expect("ser")
+        };
+        assert_eq!(
+            parse(&["drr", "--quick", "--stream"]),
+            parse(&["drr", "--quick"])
+        );
     }
 
     #[test]
-    fn streamed_explore_runs_end_to_end() {
-        run(&args(&[
-            "explore",
-            "drr",
-            "--quick",
-            "--stream",
-            "--no-cache",
-        ]))
-        .expect("streamed explore");
+    fn app_subcommands_take_the_application_after_flags() {
+        let binding = args(&["--quick", "--mem", "l2", "url"]);
+        let rest: Vec<&String> = binding.iter().collect();
+        let (app, cfg) = parse_app(&rest, "pareto").expect("parses");
+        assert_eq!(app, AppKind::Url);
+        assert!(cfg.mem.l2.is_some(), "--mem l2 still applies");
+        assert_eq!(cfg.networks.len(), 2, "--quick still applies");
+    }
+
+    #[test]
+    fn app_subcommands_reject_unknown_flags_and_stray_positionals() {
+        for (list, needle) in [
+            (&["ga", "drr", "--quick", "--stal", "2"][..], "--stal"),
+            (&["explore", "drr", "url", "--frobnicate"], "--frobnicate"),
+            (
+                &["explore", "drr", "url", "--quick"],
+                "at most one application",
+            ),
+            (&["pareto", "drr", "--quick", "--seed", "7"], "--seed"),
+            (&["report", "drr", "--quick", "--json"], "--json"),
+            (&["profile", "drr", "--jobs", "2"], "--jobs"),
+            (&["profile", "--quick"], "missing application"),
+        ] {
+            let err = run(&args(list)).unwrap_err();
+            assert!(err.contains(needle), "{list:?}: {err}");
+        }
     }
 
     #[test]
@@ -1475,7 +1499,7 @@ mod tests {
     fn mem_flag_selects_the_platform_on_simulating_subcommands() {
         let binding = args(&["drr", "--quick", "--mem", "deep"]);
         let rest: Vec<&String> = binding.iter().collect();
-        let (_, cfg) = parse_app(&rest).expect("parses");
+        let (_, cfg) = parse_app(&rest, "explore").expect("parses");
         assert!(cfg.mem.l2.is_some(), "deep preset carries an L2");
         assert_eq!(cfg.mem.l1.capacity_bytes, 16 * 1024);
         // Unknown names are rejected with the catalog.

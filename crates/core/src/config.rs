@@ -51,12 +51,6 @@ pub struct MethodologyConfig {
     pub param_variants: Vec<AppParams>,
     /// Spread simulations over worker threads.
     pub parallel: bool,
-    /// Stream packets into each simulation instead of materializing traces
-    /// up front: memory stays constant in `packets_per_sim`, results are
-    /// byte-identical. Defaults to `false` (absent in persisted configs
-    /// written before streaming existed).
-    #[serde(default)]
-    pub streaming: bool,
 }
 
 impl MethodologyConfig {
@@ -74,7 +68,6 @@ impl MethodologyConfig {
             networks: app.networks().to_vec(),
             param_variants: AppParams::variants_for(app),
             parallel: true,
-            streaming: false,
         }
     }
 
@@ -99,7 +92,6 @@ impl MethodologyConfig {
             networks: vec![NetworkPreset::DartmouthBerry, NetworkPreset::NlanrAix],
             param_variants: vec![params],
             parallel: false,
-            streaming: false,
         }
     }
 

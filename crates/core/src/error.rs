@@ -36,6 +36,12 @@ impl From<ddtr_engine::EngineError> for ExploreError {
     }
 }
 
+impl From<ddtr_trace::TraceError> for ExploreError {
+    fn from(e: ddtr_trace::TraceError) -> Self {
+        ExploreError::InvalidConfig(e.to_string())
+    }
+}
+
 impl From<ddtr_engine::Cancelled> for ExploreError {
     fn from(_: ddtr_engine::Cancelled) -> Self {
         ExploreError::Cancelled

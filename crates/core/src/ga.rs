@@ -11,13 +11,14 @@
 //! (`cargo run -p ddtr-bench --bin heuristic --release`).
 
 use crate::error::ExploreError;
-use crate::workload::Workload;
 use ddtr_apps::{AppKind, AppParams, DOMINANT_SLOTS_PER_APP};
 use ddtr_ddt::DdtKind;
-use ddtr_engine::{combo_label, Combo, ExploreEngine, SimLog, SimUnit, TraceSource};
+use ddtr_engine::{
+    combo_label, fingerprint_stream_spec, Combo, ExploreEngine, SimLog, SimUnit, TraceSource,
+};
 use ddtr_mem::MemoryConfig;
 use ddtr_pareto::{pareto_front_indices, pareto_ranks};
-use ddtr_trace::NetworkPreset;
+use ddtr_trace::{NetworkPreset, StreamSpec};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -61,11 +62,6 @@ pub struct GaConfig {
     pub stall_generations: Option<usize>,
     /// Packets simulated per fitness evaluation.
     pub packets_per_sim: usize,
-    /// Stream packets into each evaluation instead of materializing the
-    /// trace (byte-identical results, constant memory in
-    /// `packets_per_sim`).
-    #[serde(default)]
-    pub streaming: bool,
     /// Network whose trace drives the evaluations.
     pub network: NetworkPreset,
     /// Application parameters of the evaluations.
@@ -94,7 +90,6 @@ impl GaConfig {
             seed: 0xDD7,
             stall_generations: None,
             packets_per_sim: 80,
-            streaming: false,
             network: NetworkPreset::DartmouthBerry,
             params,
             mem: MemoryConfig::embedded_default(),
@@ -323,10 +318,10 @@ pub fn explore_heuristic_with(
 ) -> Result<GaOutcome, ExploreError> {
     cfg.validate()?;
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let workload = Workload::build(cfg.network.spec(), cfg.packets_per_sim, cfg.streaming)?;
+    let spec = StreamSpec::single(cfg.network.spec(), cfg.packets_per_sim)?;
     let eval = Eval {
-        trace_fp: workload.source().fingerprint(),
-        source: workload.source(),
+        source: TraceSource::Streamed(&spec),
+        trace_fp: fingerprint_stream_spec(&spec),
     };
     let mut archive = Archive::default();
     let to_combo = |g: &Genome| -> Combo { [cfg.candidates[g[0]], cfg.candidates[g[1]]] };
@@ -701,21 +696,6 @@ mod tests {
         assert!(d[3].is_infinite());
         assert!(d[1].is_finite() && d[1] > 0.0);
         assert!((d[1] - d[2]).abs() < 1e-12, "symmetric interior points");
-    }
-
-    #[test]
-    fn streamed_ga_is_byte_identical_to_materialized() {
-        let cfg = GaConfig::quick(AppKind::Drr);
-        let mut streamed_cfg = cfg.clone();
-        streamed_cfg.streaming = true;
-        let materialized = explore_heuristic(&cfg).expect("materialized");
-        let streamed = explore_heuristic(&streamed_cfg).expect("streamed");
-        assert_eq!(streamed.front_labels(), materialized.front_labels());
-        assert_eq!(streamed.evaluations, materialized.evaluations);
-        assert_eq!(
-            serde_json::to_string(&streamed.front).expect("ser"),
-            serde_json::to_string(&materialized.front).expect("ser"),
-        );
     }
 
     #[test]

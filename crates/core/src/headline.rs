@@ -3,10 +3,10 @@
 use crate::config::MethodologyConfig;
 use crate::error::ExploreError;
 use crate::pipeline::MethodologyOutcome;
-use crate::workload::Workload;
 use ddtr_ddt::DdtKind;
 use ddtr_engine::Simulator;
 use ddtr_mem::CostReport;
+use ddtr_trace::StreamSpec;
 use serde::{Deserialize, Serialize};
 
 /// The paper's headline comparison: the best Pareto-optimal DDT choice
@@ -94,11 +94,9 @@ pub fn headline_comparison(
     let sim = Simulator::new(cfg.mem);
     let mut reports = Vec::new();
     for &network in &cfg.networks {
-        // With `cfg.streaming`, the baseline runs stream too, matching
-        // the memory behaviour of the pipeline the outcome came from.
-        let workload = Workload::build(network.spec(), cfg.packets_per_sim, cfg.streaming)?;
+        let spec = StreamSpec::single(network.spec(), cfg.packets_per_sim)?;
         for params in &cfg.param_variants {
-            let log = workload.run(&sim, cfg.app, [DdtKind::Sll, DdtKind::Sll], params);
+            let log = sim.run_spec(cfg.app, [DdtKind::Sll, DdtKind::Sll], params, &spec);
             reports.push(log.report);
         }
     }
@@ -141,20 +139,6 @@ mod tests {
             headline.time_improvement() >= 0.0,
             "improvement {:.3}",
             headline.time_improvement()
-        );
-    }
-
-    #[test]
-    fn streamed_headline_matches_materialized() {
-        let cfg = MethodologyConfig::quick(AppKind::Drr);
-        let outcome = Methodology::new(cfg.clone()).run().expect("pipeline");
-        let materialized = headline_comparison(&cfg, &outcome).expect("materialized");
-        let mut streamed_cfg = cfg;
-        streamed_cfg.streaming = true;
-        let streamed = headline_comparison(&streamed_cfg, &outcome).expect("streamed");
-        assert_eq!(
-            serde_json::to_string(&streamed).expect("ser"),
-            serde_json::to_string(&materialized).expect("ser"),
         );
     }
 

@@ -57,7 +57,6 @@ mod step1;
 mod step2;
 mod step3;
 mod sweep;
-mod workload;
 
 pub use config::MethodologyConfig;
 pub use constraints::{DesignConstraints, Objective};

@@ -2,10 +2,10 @@
 
 use crate::config::MethodologyConfig;
 use crate::error::ExploreError;
-use crate::workload::Workload;
 use ddtr_apps::SlotProfile;
 use ddtr_ddt::DdtKind;
 use ddtr_engine::Simulator;
+use ddtr_trace::StreamSpec;
 use serde::{Deserialize, Serialize};
 
 /// Result of profiling the application on a typical input trace.
@@ -53,16 +53,13 @@ pub fn profile_application(cfg: &MethodologyConfig) -> Result<ProfileReport, Exp
         .param_variants
         .first()
         .expect("validated config has at least one variant");
-    let sim = Simulator::new(cfg.mem);
-    // With `cfg.streaming`, profiling streams its packets too — the whole
-    // pipeline stays constant-memory, not just the exploration steps.
-    let workload = Workload::build(
-        cfg.reference_network.spec(),
-        cfg.packets_per_sim,
-        cfg.streaming,
-    )?;
-    let (_, mut slots) =
-        workload.run_with_profiles(&sim, cfg.app, [DdtKind::Sll, DdtKind::Sll], params);
+    let spec = StreamSpec::single(cfg.reference_network.spec(), cfg.packets_per_sim)?;
+    let (_, mut slots) = Simulator::new(cfg.mem).run_stream_with_profiles(
+        cfg.app,
+        [DdtKind::Sll, DdtKind::Sll],
+        params,
+        spec.stream(),
+    );
     slots.sort_by_key(|s| std::cmp::Reverse(s.counts.accesses));
     let total: u64 = slots.iter().map(|s| s.counts.accesses).sum();
     let mut dominant = Vec::new();
@@ -113,19 +110,6 @@ mod tests {
         let mut sorted = accesses.clone();
         sorted.sort_unstable_by(|a, b| b.cmp(a));
         assert_eq!(accesses, sorted);
-    }
-
-    #[test]
-    fn streamed_profiling_matches_materialized() {
-        let cfg = MethodologyConfig::quick(AppKind::Drr);
-        let mut streamed_cfg = cfg.clone();
-        streamed_cfg.streaming = true;
-        let materialized = profile_application(&cfg).expect("materialized");
-        let streamed = profile_application(&streamed_cfg).expect("streamed");
-        assert_eq!(
-            serde_json::to_string(&streamed).expect("ser"),
-            serde_json::to_string(&materialized).expect("ser"),
-        );
     }
 
     #[test]

@@ -2,9 +2,12 @@
 
 use crate::config::MethodologyConfig;
 use crate::error::ExploreError;
-use crate::workload::Workload;
-use ddtr_engine::{combos_from, parse_combo, Combo, ExploreEngine, SimLog, SimUnit};
+use ddtr_engine::{
+    combos_from, fingerprint_stream_spec, parse_combo, Combo, ExploreEngine, SimLog, SimUnit,
+    TraceSource,
+};
 use ddtr_pareto::pareto_front_indices;
+use ddtr_trace::StreamSpec;
 use serde::{Deserialize, Serialize};
 
 /// Result of the application-level exploration.
@@ -72,22 +75,16 @@ pub fn explore_application_level_with(
     cfg: &MethodologyConfig,
 ) -> Result<Step1Result, ExploreError> {
     cfg.validate()?;
-    let workload = Workload::build(
-        cfg.reference_network.spec(),
-        cfg.packets_per_sim,
-        cfg.streaming,
-    )?;
-    let trace_fp = workload.source().fingerprint();
+    let spec = StreamSpec::single(cfg.reference_network.spec(), cfg.packets_per_sim)?;
+    let fp = fingerprint_stream_spec(&spec);
     let params = cfg
         .param_variants
         .first()
         .expect("validated config has at least one variant");
-    let combos = combos_from(&cfg.candidates);
-    let units: Vec<SimUnit> = combos
+    let source = TraceSource::Streamed(&spec);
+    let units: Vec<SimUnit> = combos_from(&cfg.candidates)
         .iter()
-        .map(|&combo| {
-            SimUnit::from_source(cfg.app, combo, params, workload.source(), trace_fp, cfg.mem)
-        })
+        .map(|&combo| SimUnit::from_source(cfg.app, combo, params, source, fp, cfg.mem))
         .collect();
     let measurements = engine.try_evaluate_batch(&units)?;
     let survivors = select_survivors(&measurements, cfg.survivor_fraction);
@@ -240,20 +237,6 @@ mod tests {
         let a: Vec<_> = seq.measurements.iter().map(key).collect();
         let b: Vec<_> = par.measurements.iter().map(key).collect();
         assert_eq!(a, b, "parallel step 1 must be order-preserving");
-    }
-
-    #[test]
-    fn streamed_step1_is_byte_identical_to_materialized() {
-        let cfg = MethodologyConfig::quick(AppKind::Drr);
-        let mut streamed_cfg = cfg.clone();
-        streamed_cfg.streaming = true;
-        let materialized = explore_application_level(&cfg).expect("materialized");
-        let streamed = explore_application_level(&streamed_cfg).expect("streamed");
-        assert_eq!(streamed.survivors, materialized.survivors);
-        assert_eq!(
-            serde_json::to_string(&streamed.measurements).expect("ser"),
-            serde_json::to_string(&materialized.measurements).expect("ser"),
-        );
     }
 
     #[test]

@@ -2,9 +2,10 @@
 
 use crate::config::MethodologyConfig;
 use crate::error::ExploreError;
-use crate::workload::Workload;
-use ddtr_engine::{Combo, ConfigKey, ExploreEngine, SimLog, SimUnit};
-use ddtr_trace::{NetworkParams, NetworkPreset};
+use ddtr_engine::{
+    fingerprint_stream_spec, Combo, ConfigKey, ExploreEngine, SimLog, SimUnit, TraceSource,
+};
+use ddtr_trace::{NetworkParams, NetworkPreset, StreamSpec};
 use serde::{Deserialize, Serialize};
 
 /// One network configuration of step 2: a network preset combined with an
@@ -87,17 +88,14 @@ pub fn explore_network_level_with(
             "step 2 needs at least one surviving combination".into(),
         ));
     }
-    // Build every network's workload once (materialized or streamed, per
-    // `cfg.streaming`) and extract its parameters in a single pass —
-    // once per network, shared across its parameter variants (a streamed
-    // extraction regenerates the whole packet stream, so repeating it
-    // per variant would multiply that cost for an identical result).
-    let mut workloads: Vec<(NetworkPreset, Workload, u64, NetworkParams)> = Vec::new();
+    // Describe every network's workload once and extract its parameters
+    // in a single streamed pass, shared across its parameter variants.
+    let mut workloads: Vec<(NetworkPreset, StreamSpec, u64, NetworkParams)> = Vec::new();
     for &network in &cfg.networks {
-        let workload = Workload::build(network.spec(), cfg.packets_per_sim, cfg.streaming)?;
-        let fp = workload.source().fingerprint();
-        let extracted = workload.extract_params();
-        workloads.push((network, workload, fp, extracted));
+        let spec = StreamSpec::single(network.spec(), cfg.packets_per_sim)?;
+        let fp = fingerprint_stream_spec(&spec);
+        let extracted = NetworkParams::extract_stream(spec.name(), spec.stream());
+        workloads.push((network, spec, fp, extracted));
     }
     let configs: Vec<NetworkConfig> = workloads
         .iter()
@@ -112,10 +110,11 @@ pub fn explore_network_level_with(
 
     let units: Vec<SimUnit> = workloads
         .iter()
-        .flat_map(|(_, workload, fp, _)| {
+        .flat_map(|(_, spec, fp, _)| {
             cfg.param_variants.iter().flat_map(move |params| {
                 survivors.iter().map(move |&combo| {
-                    SimUnit::from_source(cfg.app, combo, params, workload.source(), *fp, cfg.mem)
+                    let source = TraceSource::Streamed(spec);
+                    SimUnit::from_source(cfg.app, combo, params, source, *fp, cfg.mem)
                 })
             })
         })
@@ -194,24 +193,6 @@ mod tests {
         let accesses: Vec<u64> = result.logs.iter().map(|l| l.report.accesses).collect();
         assert_eq!(accesses.len(), 2);
         assert_ne!(accesses[0], accesses[1]);
-    }
-
-    #[test]
-    fn streamed_step2_is_byte_identical_to_materialized() {
-        let cfg = MethodologyConfig::quick(AppKind::Url);
-        let mut streamed_cfg = cfg.clone();
-        streamed_cfg.streaming = true;
-        let materialized = explore_network_level(&cfg, &survivors()).expect("materialized");
-        let streamed = explore_network_level(&streamed_cfg, &survivors()).expect("streamed");
-        assert_eq!(
-            serde_json::to_string(&streamed.logs).expect("ser"),
-            serde_json::to_string(&materialized.logs).expect("ser"),
-        );
-        assert_eq!(
-            serde_json::to_string(&streamed.configs).expect("ser"),
-            serde_json::to_string(&materialized.configs).expect("ser"),
-            "extracted parameters must match the single-pass streamed extraction"
-        );
     }
 
     #[test]

@@ -9,9 +9,19 @@ use crate::sim::{SimLog, Simulator};
 use ddtr_apps::{AppKind, AppParams};
 use ddtr_mem::MemoryConfig;
 use ddtr_trace::{StreamSpec, Trace};
+use std::collections::HashMap;
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
+
+/// Largest streamed workload, in packets, that a batch materializes once
+/// and shares across its missed units instead of regenerating it per
+/// unit. A `Packet` is 56 bytes plus its URL, if any, so the shared trace
+/// stays on the order of 1 MB. Regenerating a spec costs 5–11 µs of set-up plus ~0.1 µs per packet
+/// per unit, 20–36% of an 80-packet URL or NAT simulation (measured on a
+/// 2-CPU x86-64 host); above the limit each unit streams its packets in
+/// bounded memory instead.
+pub const MATERIALIZE_MAX_PACKETS: usize = 16_384;
 
 /// An engine failure (today: cache I/O on open).
 #[derive(Debug)]
@@ -52,14 +62,16 @@ impl EngineConfig {
 ///
 /// The engine treats both forms identically for scheduling, ordering and
 /// caching; they differ only in what gets fingerprinted (packets versus
-/// workload description) and how the simulator consumes them.
+/// workload description). Every exploration mode describes its workloads
+/// as [`TraceSource::Streamed`] specs, and the engine decides how their
+/// packets reach the simulator (see [`MATERIALIZE_MAX_PACKETS`]);
+/// [`TraceSource::Materialized`] is for callers bringing their own trace.
 #[derive(Debug, Clone, Copy)]
 pub enum TraceSource<'a> {
-    /// A fully materialized trace, shared by reference across the batch.
+    /// A caller-supplied trace, shared by reference across the batch.
     Materialized(&'a Trace),
-    /// A streamed workload description: packets are generated on the fly
-    /// in constant memory, and the cache key fingerprints the *spec*
-    /// instead of millions of packets.
+    /// A workload description: the cache key fingerprints the *spec*
+    /// instead of its packets, whatever the packet count.
     Streamed(&'a StreamSpec),
 }
 
@@ -195,12 +207,17 @@ impl<'a> SimUnit<'a> {
         )
     }
 
-    /// Runs this unit's simulation (used by the engine's worker pool).
-    fn simulate(&self) -> SimLog {
+    /// Runs this unit's simulation (used by the engine's worker pool),
+    /// over `shared` when the batch materialized the unit's spec.
+    fn simulate(&self, shared: Option<&Trace>) -> SimLog {
         let sim = Simulator::new(self.mem);
-        match self.source {
-            TraceSource::Materialized(trace) => sim.run(self.app, self.combo, self.params, trace),
-            TraceSource::Streamed(spec) => sim.run_spec(self.app, self.combo, self.params, spec),
+        match (self.source, shared) {
+            (TraceSource::Materialized(trace), _) | (TraceSource::Streamed(_), Some(trace)) => {
+                sim.run(self.app, self.combo, self.params, trace)
+            }
+            (TraceSource::Streamed(spec), None) => {
+                sim.run_spec(self.app, self.combo, self.params, spec)
+            }
         }
     }
 }
@@ -336,9 +353,11 @@ impl ExploreEngine {
     ///
     /// Cached units are answered without simulating; duplicate units within
     /// the batch execute once; the remaining misses run on the engine's
-    /// work-stealing pool. Equal batches therefore produce byte-identical
-    /// results at any worker count, and a warm cache turns re-exploration
-    /// into pure lookups.
+    /// work-stealing pool. A streamed spec of at most
+    /// [`MATERIALIZE_MAX_PACKETS`] packets that some miss runs on is
+    /// generated once and shared by all of them. Equal batches therefore
+    /// produce byte-identical results at any worker count, and a warm
+    /// cache turns re-exploration into pure lookups.
     ///
     /// # Panics
     ///
@@ -393,6 +412,18 @@ impl ExploreEngine {
         }
         drop(schedule_span);
         self.control.add_hits(hits);
+        // Generate each small missed spec once for all its units; the map
+        // serves lookups only, so its order never reaches a result.
+        let mut shared: HashMap<u64, Trace> = HashMap::new();
+        for &i in &to_run {
+            if let TraceSource::Streamed(spec) = units[i].source {
+                if spec.total_packets() <= MATERIALIZE_MAX_PACKETS {
+                    shared
+                        .entry(units[i].trace_fp)
+                        .or_insert_with(|| spec.materialize());
+                }
+            }
+        }
         // Execute the misses in parallel, deterministically ordered. Each
         // unit takes a permit from the session's FIFO pool (when bound to
         // one), so concurrent requests interleave at unit granularity, and
@@ -408,7 +439,7 @@ impl ExploreEngine {
             if control.is_cancelled() {
                 return None;
             }
-            let log = units[i].simulate();
+            let log = units[i].simulate(shared.get(&units[i].trace_fp));
             // Release the session permit before reporting progress: the
             // observer may block (e.g. writing to a slow client), and a
             // held permit would stall every other request of the session.
@@ -422,7 +453,7 @@ impl ExploreEngine {
         // stays reusable), then satisfy duplicates by identity. With
         // caching disabled, executions are counted but never retained.
         let mut cancelled = false;
-        let mut fresh: std::collections::HashMap<&str, SimLog> = std::collections::HashMap::new();
+        let mut fresh: HashMap<&str, SimLog> = HashMap::new();
         {
             let mut cache = self.cache.lock().expect("engine cache poisoned");
             for (&i, log) in to_run.iter().zip(executed) {
@@ -543,6 +574,35 @@ mod tests {
         engine.evaluate_batch(&streamed);
         assert_eq!(engine.stats().misses, 2 * combos().len());
         assert_eq!(engine.stats().hits, combos().len());
+    }
+
+    #[test]
+    fn shared_specs_on_both_sides_of_the_materialize_limit_match_run_spec() {
+        use ddtr_trace::StreamSpec;
+        let params = AppParams::default();
+        let mem = MemoryConfig::embedded_default();
+        for packets in [MATERIALIZE_MAX_PACKETS, MATERIALIZE_MAX_PACKETS + 1] {
+            let spec = StreamSpec::single(NetworkPreset::NlanrAix.spec(), packets).expect("valid");
+            let units: Vec<SimUnit> = combos()[..2]
+                .iter()
+                .map(|&combo| SimUnit::streamed(AppKind::Route, combo, &params, &spec, mem))
+                .collect();
+            let sim = Simulator::new(mem);
+            let direct: Vec<String> = units
+                .iter()
+                .map(|u| serde_json::to_string(&sim.run_spec(u.app, u.combo, &params, &spec)))
+                .collect::<Result<_, _>>()
+                .expect("ser");
+            for jobs in [1, 2, 8] {
+                let got: Vec<String> = ExploreEngine::with_jobs(jobs)
+                    .evaluate_batch(&units)
+                    .iter()
+                    .map(serde_json::to_string)
+                    .collect::<Result<_, _>>()
+                    .expect("ser");
+                assert_eq!(got, direct, "{packets} packets at jobs={jobs}");
+            }
+        }
     }
 
     #[test]

@@ -18,7 +18,11 @@
 //! * [`ExploreEngine::evaluate_batch`] — the batched evaluation API the
 //!   steps, the GA population loop and the bench harness all share
 //!   (cancellable via [`ExploreEngine::try_evaluate_batch`] and a
-//!   [`BatchControl`]).
+//!   [`BatchControl`]). It also decides how a [`StreamSpec`] workload's
+//!   packets reach the simulator: generated once per batch up to
+//!   [`MATERIALIZE_MAX_PACKETS`], streamed per unit above it.
+//!
+//! [`StreamSpec`]: ddtr_trace::StreamSpec
 //! * [`EngineSession`] — the resident-process form: one shared result
 //!   cache and one FIFO [`JobsPool`] served to any number of concurrent
 //!   requests (the substrate of `ddtr serve`).
@@ -62,7 +66,9 @@ pub mod timing;
 
 pub use cache::{CacheStats, SimCache, CACHE_FILE};
 pub use combo::{all_combos, combo_label, combos_from, parse_combo, Combo};
-pub use engine::{EngineConfig, EngineError, ExploreEngine, SimUnit, TraceSource};
+pub use engine::{
+    EngineConfig, EngineError, ExploreEngine, SimUnit, TraceSource, MATERIALIZE_MAX_PACKETS,
+};
 pub use key::{
     fingerprint_stream_spec, fingerprint_trace, fingerprint_value, fnv1a64, CacheKey, ConfigKey,
     CACHE_FORMAT_VERSION,

@@ -60,32 +60,42 @@ impl Simulator {
     /// the measured execution, exactly like the paper's host runs.
     #[must_use]
     pub fn run(&self, app: AppKind, combo: Combo, params: &AppParams, trace: &Trace) -> SimLog {
-        let (report, _) = self.run_with_profiles(app, combo, params, trace);
-        SimLog {
-            app,
-            combo: combo_label(combo),
-            network: trace.network.clone(),
-            params: params.label(app),
-            report,
-        }
+        let (report, _) = self.simulate(app, combo, params, trace.iter());
+        sim_log(app, combo, params, &trace.network, report)
     }
 
-    /// Like [`Simulator::run`] but also returns the per-slot access
-    /// profiles (used by the profiling step).
+    /// Simulates `app` over a [`StreamSpec`] workload, streaming its
+    /// (possibly multi-phase) packets in constant memory. For the same
+    /// packets this yields exactly the log of [`Simulator::run`].
     #[must_use]
-    pub fn run_with_profiles(
+    pub fn run_spec(
         &self,
         app: AppKind,
         combo: Combo,
         params: &AppParams,
-        trace: &Trace,
-    ) -> (CostReport, Vec<SlotProfile>) {
-        self.simulate(app, combo, params, trace.iter())
+        spec: &StreamSpec,
+    ) -> SimLog {
+        let (report, _) = self.simulate(app, combo, params, spec.stream());
+        sim_log(app, combo, params, spec.name(), report)
     }
 
-    /// The one simulation loop both the materialized and streamed entry
-    /// points drain — their byte-identical metrics come from sharing this
-    /// body, not from keeping two copies in sync.
+    /// Simulates `app` over a packet stream and returns the cost report
+    /// and the per-slot access profiles (the profiling substep), in
+    /// constant memory.
+    #[must_use]
+    pub fn run_stream_with_profiles(
+        &self,
+        app: AppKind,
+        combo: Combo,
+        params: &AppParams,
+        packets: impl IntoIterator<Item = Packet>,
+    ) -> (CostReport, Vec<SlotProfile>) {
+        self.simulate(app, combo, params, packets)
+    }
+
+    /// The one simulation loop every entry point drains — their
+    /// byte-identical metrics come from sharing this body, not from
+    /// keeping copies in sync.
     fn simulate<B: std::borrow::Borrow<Packet>>(
         &self,
         app: AppKind,
@@ -100,59 +110,21 @@ impl Simulator {
         }
         (mem.report(), instance.slot_profiles())
     }
+}
 
-    /// Simulates `app` over a packet *stream* instead of a materialized
-    /// trace: packets are consumed as they are produced, so memory stays
-    /// constant regardless of workload length. For the same packets this
-    /// yields exactly the metrics of [`Simulator::run`].
-    ///
-    /// `network` names the configuration in the resulting log (streams
-    /// carry no [`Trace`] to take it from).
-    #[must_use]
-    pub fn run_stream(
-        &self,
-        app: AppKind,
-        combo: Combo,
-        params: &AppParams,
-        network: &str,
-        packets: impl IntoIterator<Item = Packet>,
-    ) -> SimLog {
-        let (report, _) = self.run_stream_with_profiles(app, combo, params, packets);
-        SimLog {
-            app,
-            combo: combo_label(combo),
-            network: network.to_owned(),
-            params: params.label(app),
-            report,
-        }
-    }
-
-    /// Like [`Simulator::run_stream`] but returns the cost report and the
-    /// per-slot access profiles — the streamed counterpart of
-    /// [`Simulator::run_with_profiles`], so the profiling substep also
-    /// runs in constant memory.
-    #[must_use]
-    pub fn run_stream_with_profiles(
-        &self,
-        app: AppKind,
-        combo: Combo,
-        params: &AppParams,
-        packets: impl IntoIterator<Item = Packet>,
-    ) -> (CostReport, Vec<SlotProfile>) {
-        self.simulate(app, combo, params, packets)
-    }
-
-    /// Simulates `app` over a [`StreamSpec`] workload, streaming its
-    /// (possibly multi-phase) packets in constant memory.
-    #[must_use]
-    pub fn run_spec(
-        &self,
-        app: AppKind,
-        combo: Combo,
-        params: &AppParams,
-        spec: &StreamSpec,
-    ) -> SimLog {
-        self.run_stream(app, combo, params, spec.name(), spec.stream())
+fn sim_log(
+    app: AppKind,
+    combo: Combo,
+    params: &AppParams,
+    network: &str,
+    report: CostReport,
+) -> SimLog {
+    SimLog {
+        app,
+        combo: combo_label(combo),
+        network: network.to_owned(),
+        params: params.label(app),
+        report,
     }
 }
 
@@ -236,32 +208,21 @@ mod tests {
     }
 
     #[test]
-    fn streamed_run_matches_materialized_run_exactly() {
-        use ddtr_trace::{StreamSpec, TraceGenerator};
+    fn spec_run_matches_materialized_run_exactly() {
         let preset = NetworkPreset::DartmouthBerry;
         let trace = preset.generate(120);
+        let spec = ddtr_trace::StreamSpec::single(preset.spec(), 120).expect("valid");
         for combo in [
             [DdtKind::Array, DdtKind::Sll],
             [DdtKind::DllRov, DdtKind::SllChunk],
         ] {
             let direct = sim().run(AppKind::Drr, combo, &quick_params(), &trace);
-            let generator = TraceGenerator::new(preset.spec());
-            let streamed = sim().run_stream(
-                AppKind::Drr,
-                combo,
-                &quick_params(),
-                &trace.network,
-                generator.stream(120),
-            );
+            let streamed = sim().run_spec(AppKind::Drr, combo, &quick_params(), &spec);
             assert_eq!(
                 serde_json::to_string(&streamed).expect("ser"),
                 serde_json::to_string(&direct).expect("ser"),
                 "streamed and materialized logs must be byte-identical"
             );
-            let spec = StreamSpec::single(preset.spec(), 120).expect("valid");
-            let via_spec = sim().run_spec(AppKind::Drr, combo, &quick_params(), &spec);
-            assert_eq!(via_spec.report.accesses, direct.report.accesses);
-            assert_eq!(via_spec.report.cycles, direct.report.cycles);
         }
     }
 

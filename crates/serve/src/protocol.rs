@@ -276,17 +276,19 @@ pub enum RequestBody {
 /// Preset resolution mirrors the CLI exactly: `mode` is one of
 /// `"explore"`, `"ga"`, `"scenarios"`, `"sweep"`, `"headline"`; `quick`
 /// selects the reduced configuration; `extended` widens the DDT candidate
-/// set; `stream` generates packets on the fly; `mem` names platform
-/// presets from the [`MemoryPreset`] catalog (one for the single-platform
-/// modes, the platform axis for `sweep`). Fields that do not apply to the
-/// chosen mode are rejected, not ignored.
+/// set; `mem` names platform presets from the [`MemoryPreset`] catalog
+/// (one for the single-platform modes, the platform axis for `sweep`).
+/// `stream` is accepted in every mode and changes nothing: the engine
+/// decides how packets reach the simulator. Other fields that do not
+/// apply to the chosen mode are rejected, not ignored.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct JobSpec {
     /// Full inline configuration; when present every preset field must be
     /// absent.
     #[serde(default)]
     pub inline: Option<ExploreRequest>,
-    /// Exploration mode: `explore`, `ga`, `scenarios` or `headline`.
+    /// Exploration mode: `explore`, `ga`, `scenarios`, `sweep` or
+    /// `headline`.
     #[serde(default)]
     pub mode: Option<String>,
     /// Application preset (required for `explore`/`ga`/`headline`;
@@ -299,7 +301,8 @@ pub struct JobSpec {
     /// Explore the extended 12-kind DDT library (`--extended`).
     #[serde(default)]
     pub extended: bool,
-    /// Stream packets into each simulation (`--stream`).
+    /// Accepted for wire compatibility with no effect (`--stream`): every
+    /// mode resolves to the same request with or without it.
     #[serde(default)]
     pub stream: bool,
     /// Base network preset (`scenarios`/`sweep` only; default `BWY-I`).
@@ -415,7 +418,6 @@ impl JobSpec {
                 if self.extended {
                     cfg.candidates = DdtKind::EXTENDED.to_vec();
                 }
-                cfg.streaming = self.stream;
                 if let Some(preset) = single_mem()? {
                     cfg.mem = preset.config();
                 }
@@ -438,7 +440,6 @@ impl JobSpec {
                 if self.extended {
                     cfg.candidates = DdtKind::EXTENDED.to_vec();
                 }
-                cfg.streaming = self.stream;
                 if let Some(seed) = self.seed {
                     cfg.seed = seed;
                 }
@@ -449,8 +450,6 @@ impl JobSpec {
             }
             "scenarios" => {
                 reject("seed", self.seed.is_some())?;
-                // `stream` is accepted as a no-op: scenarios always
-                // streams, mirroring the CLI.
                 let base: NetworkPreset = match &self.base {
                     Some(name) => name.parse().map_err(|e| unknown(&e))?,
                     None => NetworkPreset::DartmouthBerry,
@@ -482,8 +481,6 @@ impl JobSpec {
             }
             "sweep" => {
                 reject("seed", self.seed.is_some())?;
-                // `stream` is accepted as a no-op: sweeps always stream,
-                // like scenarios.
                 let base: NetworkPreset = match &self.base {
                     Some(name) => name.parse().map_err(|e| unknown(&e))?,
                     None => NetworkPreset::DartmouthBerry,
@@ -813,7 +810,6 @@ mod tests {
     fn preset_specs_resolve_like_the_cli() {
         let spec = JobSpec {
             quick: true,
-            stream: true,
             extended: true,
             ..JobSpec::preset("explore", Some("drr"))
         };
@@ -821,9 +817,69 @@ mod tests {
         let ExploreRequest::Explore(cfg) = &request else {
             panic!("wrong mode {}", request.mode());
         };
-        assert!(cfg.streaming);
         assert_eq!(cfg.candidates.len(), 12, "--extended");
         assert_eq!(cfg.networks.len(), 2, "--quick");
+    }
+
+    #[test]
+    fn stream_flag_resolves_to_the_identical_request_and_worker() {
+        for (mode, app) in [
+            ("explore", Some("drr")),
+            ("headline", Some("url")),
+            ("ga", Some("nat")),
+            ("scenarios", Some("drr")),
+            ("sweep", None),
+        ] {
+            let resolve = |stream: bool| {
+                let spec = JobSpec {
+                    quick: true,
+                    stream,
+                    ..JobSpec::preset(mode, app)
+                };
+                spec.resolve().expect("resolves")
+            };
+            let (plain, streamed) = (resolve(false), resolve(true));
+            assert_eq!(
+                serde_json::to_string(&streamed).expect("ser"),
+                serde_json::to_string(&plain).expect("ser"),
+                "{mode}: `stream` must not change the request"
+            );
+            for workers in [2, 3, 8] {
+                assert_eq!(
+                    crate::route_worker(&streamed, workers),
+                    crate::route_worker(&plain, workers),
+                    "{mode}: `stream` must not change the worker"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn inline_v1_configs_with_a_streaming_field_still_decode() {
+        // Configs written while `streaming` was a field still carry it; it
+        // is ignored on decode.
+        for request in [
+            ExploreRequest::Explore(MethodologyConfig::quick(AppKind::Drr)),
+            ExploreRequest::Ga(GaConfig::quick(AppKind::Url)),
+        ] {
+            // `{"Explore":{…}}` → `{"Explore":{"streaming":true,…}}`.
+            let config = serde_json::to_string(&request).expect("ser").replacen(
+                ":{",
+                r#":{"streaming":true,"#,
+                1,
+            );
+            assert!(config.contains(r#"{"streaming":true,"app""#), "{config}");
+            let line = format!(r#"{{"id":"v1","body":{{"Run":{{"inline":{config}}}}}}}"#);
+            let back: Request = serde_json::from_str(&line).expect("v1 inline decodes");
+            let RequestBody::Run(spec) = back.body else {
+                panic!("wrong body");
+            };
+            let resolved = spec.resolve().expect("resolves");
+            assert_eq!(
+                serde_json::to_string(&resolved).expect("ser"),
+                serde_json::to_string(&request).expect("ser"),
+            );
+        }
     }
 
     #[test]

@@ -43,39 +43,6 @@ fn explore_drr_quick_is_identical_at_1_2_and_8_threads() {
 }
 
 #[test]
-fn streamed_explore_is_identical_at_1_2_and_8_threads_and_to_materialized() {
-    let mut cfg = MethodologyConfig::quick(AppKind::Drr);
-    cfg.streaming = true;
-    let reference = Methodology::new(cfg.clone())
-        .run_with(&mut ExploreEngine::with_jobs(1))
-        .expect("1-thread streamed explore");
-    for jobs in [2usize, 8] {
-        let outcome = Methodology::new(cfg.clone())
-            .run_with(&mut ExploreEngine::with_jobs(jobs))
-            .expect("streamed explore");
-        assert_eq!(
-            front_bytes(&outcome),
-            front_bytes(&reference),
-            "streamed front must be byte-identical at {jobs} threads"
-        );
-        let logs = |o: &MethodologyOutcome| serde_json::to_string(&o.step2.logs).expect("logs");
-        assert_eq!(logs(&outcome), logs(&reference));
-    }
-    // And the streamed pipeline reproduces the materialized pipeline
-    // byte-for-byte: streaming changes memory behaviour, never results.
-    let mut materialized_cfg = cfg;
-    materialized_cfg.streaming = false;
-    let materialized = Methodology::new(materialized_cfg)
-        .run_with(&mut ExploreEngine::with_jobs(2))
-        .expect("materialized explore");
-    assert_eq!(front_bytes(&materialized), front_bytes(&reference));
-    assert_eq!(
-        serde_json::to_string(&materialized.step2.logs).expect("logs"),
-        serde_json::to_string(&reference.step2.logs).expect("logs"),
-    );
-}
-
-#[test]
 fn scenario_matrix_is_identical_at_1_2_and_8_threads() {
     use ddtr::core::{explore_scenarios_with, ScenarioConfig};
     use ddtr::trace::{NetworkPreset, Scenario};
