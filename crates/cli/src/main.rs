@@ -19,9 +19,12 @@
 //! ddtr loadtest <EP> [--clients N]    # drive a service with concurrent load
 //! ```
 //!
-//! Every simulating subcommand (`explore`, `pareto`, `report`, `ga`,
-//! `scenarios`, `sweep`) runs on the [`ddtr_engine`] execution engine and
-//! accepts:
+//! The simulating subcommands (`explore`, `pareto`, `report`, `ga`,
+//! `scenarios`, `sweep`) take the request path of `ddtr serve`: their
+//! flags become the [`JobSpec`] that `ddtr query` would send,
+//! [`JobSpec::resolve`] turns it into an [`ExploreRequest`], and
+//! [`dispatch_observed`] runs that on a [`ddtr_engine`] execution engine
+//! built from the engine flags:
 //!
 //! * `--jobs N` — worker threads (default: one per core),
 //! * `--cache-dir <dir>` — persistent result cache (default
@@ -30,13 +33,15 @@
 //! * `--trace-json <file>` — write the run's recorded spans as Chrome
 //!   trace-event JSON (loads in Perfetto / `chrome://tracing`).
 //!
-//! They also accept `--stream` and ignore it: the engine itself decides
-//! whether a workload is generated once per batch or streamed into each
-//! simulation (see `ddtr_engine::MATERIALIZE_MAX_PACKETS`).
+//! `profile` resolves the same spec and profiles its configuration.
+//! `JobSpec::resolve` alone rejects a spec flag the mode does not take
+//! (`--seed` on `explore`). `--stream` is accepted and ignored: the
+//! engine itself decides whether a workload is generated once per batch
+//! or streamed into each simulation (see
+//! `ddtr_engine::MATERIALIZE_MAX_PACKETS`).
 //!
-//! `profile`, `explore`, `pareto`, `report`, `ga`, `scenarios` and
-//! `sweep` reject flags they do not take and stray positionals; the
-//! application may come before or after the flags.
+//! Every subcommand rejects flags it does not take and stray
+//! positionals; the application may come before or after the flags.
 //!
 //! Every simulating subcommand also takes `--mem <preset>` to pick the
 //! platform from the memory-hierarchy catalog (`embedded`, `l2`,
@@ -61,21 +66,21 @@
 //! concurrent clients, reporting p50/p99 latencies. See
 //! `docs/PROTOCOL.md` for the wire format.
 
-use ddtr_apps::AppKind;
 use ddtr_core::{
-    explore_heuristic_with, explore_pareto_level, explore_scenarios_with, explore_sweep_observed,
-    headline_comparison, profile_application, read_logs, render_pareto_chart, step2_from_logs,
-    table1_markdown, table2_markdown, write_logs, EngineConfig, ExploreEngine, ExploreResult,
-    GaConfig, MemoryPreset, Methodology, MethodologyConfig, ParetoChartPlane, ScenarioConfig,
-    SweepConfig,
+    dispatch_observed, explore_pareto_level, headline_comparison, profile_application, read_logs,
+    render_pareto_chart, step2_from_logs, table1_markdown, table2_markdown, write_logs,
+    EngineConfig, ExploreEngine, ExploreRequest, ExploreResult, MemoryPreset, MethodologyOutcome,
+    ParetoChartPlane, SweepCell,
 };
-use ddtr_ddt::DdtKind;
 use ddtr_engine::SimCache;
 use ddtr_serve::loadtest::LoadtestConfig;
-use ddtr_serve::{Client, Endpoint, Event, JobSpec, Request, RequestBody, Server, ServerConfig};
-use ddtr_trace::{NetworkParams, NetworkPreset, Scenario, TraceWriter};
+use ddtr_serve::{
+    Client, Endpoint, Event, JobSpec, Request, RequestBody, ResolveError, Server, ServerConfig,
+};
+use ddtr_trace::{NetworkParams, NetworkPreset, Scenario, Trace, TraceWriter};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -104,7 +109,7 @@ usage:
   ddtr ga      <route|url|ipchains|drr|nat> [--quick] [--extended] [--seed N]
                [--stall N] [--mem <preset>] [engine flags]
   ddtr scenarios [<route|url|ipchains|drr|nat>] [--quick] [--extended] [--base <preset>]
-               [--packets N] [--mem <preset>] [engine flags]
+               [--packets N] [--mem <preset>] [--scenario <name>]... [engine flags]
   ddtr sweep   [<route|url|ipchains|drr|nat>] [--quick] [--extended] [--base <preset>]
                [--packets N] [--mem <preset>,...] [--scenario <name>]... [engine flags]
   ddtr cache   stats|clear|verify|compact [--cache-dir <dir>]
@@ -112,10 +117,10 @@ usage:
   ddtr serve   [--listen stdio|tcp:<addr>|unix:<path>] [--workers N]
                [--auth-token T] [--max-conns N] [--max-inflight N]
                [--rate-limit N] [--max-request-bytes N]
-               [--daemon] [--pid-file <path>] [engine flags]
+               [--daemon] [--pid-file <path>] [--jobs N] [--cache-dir <dir>] [--no-cache]
   ddtr query   <tcp:<addr>|unix:<path>> <explore|ga|scenarios|sweep|headline|metrics> [app]
                [--quick] [--extended] [--stream] [--base <preset>] [--packets N]
-               [--seed N] [--scenario <name>]... [--mem <preset>[,...]]
+               [--seed N] [--stall N] [--scenario <name>]... [--mem <preset>[,...]]
                [--id ID] [--json] [--quiet]
   ddtr loadtest <tcp:<addr>|unix:<path>> [--clients N] [--pings N] [--explores N]
                [--apps a,b,...] [--full] [--auth-token T] [--connect-retries N]
@@ -130,10 +135,12 @@ engine flags (simulating subcommands):
   --trace-json <f>   write the run's spans as Chrome trace-event JSON
                      (loads in Perfetto / chrome://tracing)
 
-profile through sweep reject flags they do not take; --stream is
-accepted and ignored (the engine picks how packets reach the
-simulator). `ddtr scenarios` runs the app x scenario matrix (baseline,
-bursty, flash-crowd, ddos-syn, phase-shift) over the base network.
+Every subcommand rejects flags it does not take; a spec flag its mode
+does not take (`--seed` on explore) is rejected like that field in a
+`ddtr query`. --stream is accepted and ignored (the engine picks how
+packets reach the simulator). `ddtr scenarios` runs the app x scenario
+matrix (baseline, bursty, flash-crowd, ddos-syn, phase-shift) over the
+base network.
 
 --mem picks the platform from the memory-hierarchy catalog (`ddtr
 mem-presets` lists it). `ddtr sweep` takes a comma-separated list and
@@ -156,6 +163,9 @@ const FLAG_JOBS: &str = "--jobs";
 /// The `--cache-dir` engine flag (persistent result cache location).
 const FLAG_CACHE_DIR: &str = "--cache-dir";
 
+/// The `--no-cache` engine flag (no persistent result cache).
+const FLAG_NO_CACHE: &str = "--no-cache";
+
 /// The `--mem` platform flag (memory-hierarchy preset; comma-separated
 /// list on `ddtr sweep`).
 const FLAG_MEM: &str = "--mem";
@@ -164,25 +174,40 @@ const FLAG_MEM: &str = "--mem";
 /// Chrome trace-event JSON after the run).
 const FLAG_TRACE_JSON: &str = "--trace-json";
 
-/// Engine flags that consume a value. `engine_from`/`cache_dir_of` parse
-/// exactly these constants and the strict positional scanner skips them,
-/// so adding a value-taking engine flag cannot desynchronise the two.
-const ENGINE_VALUE_FLAGS: [&str; 3] = [FLAG_JOBS, FLAG_CACHE_DIR, FLAG_TRACE_JSON];
-
-/// The flags an application-taking subcommand accepts beyond `--quick`,
-/// `--extended` and the no-op `--stream`: its value flags, its boolean
-/// flags, and whether the engine flags (`ENGINE_VALUE_FLAGS`,
-/// `--no-cache`) apply.
-fn command_flags(subcommand: &str) -> (&'static [&'static str], &'static [&'static str], bool) {
-    match subcommand {
-        "profile" => (&[FLAG_MEM], &[], false),
-        "explore" => (&[FLAG_MEM, "--logs"], &["--json"], true),
-        "ga" => (&[FLAG_MEM, "--seed", "--stall"], &[], true),
-        "scenarios" => (&["--base", "--packets", FLAG_MEM], &[], true),
-        "sweep" => (&["--base", "--packets", FLAG_MEM, "--scenario"], &[], true),
-        _ => (&[FLAG_MEM], &[], true), // pareto, report
-    }
+/// The flags a subcommand takes: those that consume the next argument as
+/// their value, and switches.
+struct FlagRow {
+    values: &'static [&'static str],
+    switches: &'static [&'static str],
 }
+
+/// The engine flags of the simulating subcommands, which
+/// [`engine_config_from`] and [`write_trace_if_requested`] read.
+const ENGINE_FLAGS: FlagRow = FlagRow {
+    values: &[FLAG_JOBS, FLAG_CACHE_DIR, FLAG_TRACE_JSON],
+    switches: &[FLAG_NO_CACHE],
+};
+
+/// The spec flags, one per [`JobSpec`] field a flag sets ([`job_spec`]
+/// reads them). Every spec-building subcommand takes all of them, so
+/// [`JobSpec::resolve`] alone decides which apply to a mode.
+const SPEC_FLAGS: FlagRow = FlagRow {
+    values: &[
+        "--base",
+        "--packets",
+        "--seed",
+        "--stall",
+        "--scenario",
+        FLAG_MEM,
+    ],
+    switches: &["--quick", "--extended", "--stream"],
+};
+
+/// The output flags of `ddtr query`.
+const QUERY_FLAGS: FlagRow = FlagRow {
+    values: &["--id"],
+    switches: &["--json", "--quiet"],
+};
 
 fn run(args: &[String]) -> Result<(), String> {
     let mut it = args.iter();
@@ -223,162 +248,211 @@ fn run(args: &[String]) -> Result<(), String> {
     }
 }
 
-/// Parses the value following a `--flag`, if the flag is present. A
-/// following token that is itself a flag does not count as a value, so a
-/// forgotten argument errors instead of silently consuming the next flag.
-fn flag_value<'a>(rest: &[&'a String], flag: &str) -> Result<Option<&'a String>, String> {
-    match rest.iter().position(|a| a.as_str() == flag) {
-        Some(pos) => match rest.get(pos + 1) {
-            Some(v) if !v.starts_with("--") => Ok(Some(*v)),
-            _ => Err(format!("{flag} needs a value")),
-        },
-        None => Ok(None),
-    }
+/// A command line scanned against its subcommand's flag rows: each flag
+/// with its value (when it takes one), and the bare words in order.
+struct Args<'a> {
+    flags: Vec<(&'a str, Option<&'a str>)>,
+    positionals: Vec<&'a str>,
 }
 
-/// The values of a repeatable `--flag`, one per occurrence (empty when
-/// the flag is absent).
-fn repeated_flag_values<'a>(rest: &[&'a String], flag: &str) -> Result<Vec<&'a String>, String> {
-    rest.iter()
-        .enumerate()
-        .filter(|(_, a)| a.as_str() == flag)
-        .map(|(i, _)| match rest.get(i + 1) {
-            Some(v) if !v.starts_with("--") => Ok(*v),
-            _ => Err(format!("{flag} needs a value")),
-        })
-        .collect()
-}
-
-/// Strict argument scan of an application-taking subcommand: every flag
-/// must be one [`command_flags`] lists for `cmd`, and at most one bare
-/// positional — the application — is allowed. Unknown flags and stray
-/// positionals are errors, not silently ignored.
-fn scan_app_positional<'a>(rest: &[&'a String], cmd: &str) -> Result<Option<&'a String>, String> {
-    let (values, bools, engine) = command_flags(cmd);
-    let takes_value = |a: &str| values.contains(&a) || (engine && ENGINE_VALUE_FLAGS.contains(&a));
-    let is_bool = |a: &str| {
-        ["--quick", "--extended", "--stream"].contains(&a)
-            || bools.contains(&a)
-            || (engine && a == "--no-cache")
+/// Scans `rest` strictly: every flag must be in one of `rows`, and a
+/// value flag needs a following value that is not itself a flag, so a
+/// typo or a forgotten value errors instead of being ignored or
+/// swallowing the next flag.
+fn scan<'a>(rest: &[&'a String], cmd: &str, rows: &[&FlagRow]) -> Result<Args<'a>, String> {
+    let mut args = Args {
+        flags: Vec::new(),
+        positionals: Vec::new(),
     };
-    let mut positionals = Vec::new();
-    let mut i = 0;
-    while i < rest.len() {
-        let arg = rest[i].as_str();
-        if takes_value(arg) {
-            match rest.get(i + 1) {
-                Some(v) if !v.starts_with("--") => i += 2,
-                _ => return Err(format!("{arg} needs a value")),
+    let mut words = rest.iter().map(|w| w.as_str());
+    while let Some(word) = words.next() {
+        if rows.iter().any(|row| row.values.contains(&word)) {
+            match words.next() {
+                Some(value) if !value.starts_with("--") => args.flags.push((word, Some(value))),
+                _ => return Err(format!("{word} needs a value")),
             }
-        } else if is_bool(arg) {
-            i += 1;
-        } else if arg.starts_with("--") {
-            return Err(format!("unknown {cmd} flag `{arg}`"));
+        } else if rows.iter().any(|row| row.switches.contains(&word)) {
+            args.flags.push((word, None));
+        } else if word.starts_with("--") {
+            return Err(format!("unknown {cmd} flag `{word}`"));
         } else {
-            positionals.push(rest[i]);
-            i += 1;
+            args.positionals.push(word);
         }
     }
-    match positionals.as_slice() {
-        [] => Ok(None),
-        [app] => Ok(Some(*app)),
-        more => Err(format!(
-            "{cmd} takes at most one application, got {}",
-            more.len()
-        )),
+    Ok(args)
+}
+
+impl<'a> Args<'a> {
+    /// Every value of a repeatable `flag`, in order.
+    fn values(&self, flag: &str) -> Vec<&'a str> {
+        self.flags
+            .iter()
+            .filter(|(f, _)| *f == flag)
+            .filter_map(|(_, v)| *v)
+            .collect()
+    }
+
+    /// The value of the first `flag`, if given.
+    fn value(&self, flag: &str) -> Option<&'a str> {
+        self.values(flag).first().copied()
+    }
+
+    /// The value of `flag` parsed as `T`; a malformed one is reported as
+    /// `bad <what>: …`.
+    fn parse<T: FromStr>(&self, flag: &str, what: &str) -> Result<Option<T>, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        self.value(flag)
+            .map(|v| v.parse().map_err(|e| format!("bad {what}: {e}")))
+            .transpose()
+    }
+
+    /// Whether the switch `flag` was given.
+    fn has(&self, flag: &str) -> bool {
+        self.flags.iter().any(|(f, _)| *f == flag)
+    }
+
+    /// The positionals, when there are at most `max`; otherwise an error
+    /// quoting the `usage` of `cmd`.
+    fn at_most(&self, max: usize, cmd: &str, usage: &str) -> Result<&[&'a str], String> {
+        match self.positionals.len() {
+            n if n > max => Err(format!("{cmd} takes {usage}, got {n} arguments")),
+            _ => Ok(&self.positionals),
+        }
     }
 }
 
-/// The cache directory a command addresses: `--cache-dir` or the default.
-fn cache_dir_of(rest: &[&String]) -> Result<PathBuf, String> {
-    Ok(flag_value(rest, FLAG_CACHE_DIR)?
-        .map_or_else(|| PathBuf::from(DEFAULT_CACHE_DIR), PathBuf::from))
-}
-
-/// Parses the shared engine flags into an [`EngineConfig`].
-fn engine_config_from(rest: &[&String]) -> Result<EngineConfig, String> {
-    let jobs: usize = match flag_value(rest, FLAG_JOBS)? {
-        Some(v) => v.parse().map_err(|e| format!("bad --jobs value: {e}"))?,
-        None => 0,
+/// The [`JobSpec`] a command line describes — the one place flags become
+/// a request, for `query` and the local subcommands alike. A local
+/// subcommand fixes `mode` and takes `[app]`; `query` passes `None` and
+/// takes `<mode> [app]`.
+fn job_spec(args: &Args, cmd: &str, mode: Option<&str>) -> Result<JobSpec, String> {
+    let mut words = args.positionals.iter().copied();
+    let mode = match mode {
+        Some(mode) => mode,
+        None => words
+            .next()
+            .ok_or("query needs a mode (explore, ga, scenarios, sweep or headline)")?,
     };
-    let no_cache = rest.iter().any(|a| a.as_str() == "--no-cache");
-    let cache_dir = if no_cache {
-        None
-    } else {
-        Some(cache_dir_of(rest)?)
-    };
-    Ok(EngineConfig {
-        jobs,
-        cache_dir,
-        no_cache,
+    let app = words.next();
+    if words.next().is_some() {
+        return Err(format!("{cmd} takes at most one application"));
+    }
+    let scenarios: Vec<String> = args
+        .values("--scenario")
+        .into_iter()
+        .map(str::to_string)
+        .collect();
+    Ok(JobSpec {
+        inline: None,
+        mode: Some(mode.to_string()),
+        app: app.map(str::to_string),
+        quick: args.has("--quick"),
+        extended: args.has("--extended"),
+        stream: args.has("--stream"),
+        base: args.value("--base").map(str::to_string),
+        scenarios: (!scenarios.is_empty()).then_some(scenarios),
+        packets: args.parse("--packets", "packet count")?,
+        seed: args.parse("--seed", "seed")?,
+        stall: args.parse("--stall", "stall window")?,
+        // One preset, or the platform axis of a sweep: `resolve` checks
+        // the arity per mode.
+        mem: args
+            .value(FLAG_MEM)
+            .map(|list| list.split(',').map(str::to_string).collect()),
     })
 }
 
-/// Builds the execution engine from the shared engine flags.
-fn engine_from(rest: &[&String]) -> Result<ExploreEngine, String> {
-    ExploreEngine::new(engine_config_from(rest)?).map_err(|e| e.to_string())
+/// Resolves `spec` as `ddtr serve` resolves a `Run`, naming a field that
+/// does not apply by the flag that set it.
+fn resolve(spec: &JobSpec) -> Result<ExploreRequest, String> {
+    spec.resolve().map_err(|e| match e {
+        ResolveError::FlagNotApplicable { flag, mode } => {
+            // `--scenario` repeats, one column each; every other flag is
+            // spelled like its field.
+            let flag = match flag.as_str() {
+                "scenarios" => "scenario",
+                field => field,
+            };
+            format!("`--{flag}` does not apply to mode `{mode}`")
+        }
+        missing @ ResolveError::MissingApp { .. } => {
+            format!("missing application name ({missing})")
+        }
+        other => other.to_string(),
+    })
+}
+
+/// Scans a local subcommand's arguments against `rows` and resolves them
+/// in `mode`.
+fn local_request<'a>(
+    rest: &[&'a String],
+    cmd: &str,
+    mode: &str,
+    rows: &[&FlagRow],
+) -> Result<(Args<'a>, ExploreRequest), String> {
+    let args = scan(rest, cmd, rows)?;
+    let request = resolve(&job_spec(&args, cmd, Some(mode))?)?;
+    Ok((args, request))
+}
+
+/// Runs `request` through [`dispatch_observed`] on the engine the engine
+/// flags build, as a serve worker does (`on_cell` sees each completed
+/// cell of a sweep), and writes the `--trace-json` file. Returns the
+/// typed result and the run's engine line.
+fn dispatch_local(
+    args: &Args,
+    request: &ExploreRequest,
+    on_cell: impl FnMut(&SweepCell, usize, usize),
+) -> Result<(ExploreResult, String), String> {
+    let mut engine = ExploreEngine::new(engine_config_from(args)?).map_err(|e| e.to_string())?;
+    let result = dispatch_observed(&mut engine, request, on_cell).map_err(|e| e.to_string())?;
+    write_trace_if_requested(args)?;
+    let stats = engine.stats();
+    let engine_line = format!(
+        "engine: jobs={} cache_hits={} executed={}",
+        engine.jobs(),
+        stats.hits,
+        stats.misses
+    );
+    Ok((result, engine_line))
+}
+
+/// The cache directory a command addresses: `--cache-dir` or the default.
+fn cache_dir_of(args: &Args) -> PathBuf {
+    PathBuf::from(args.value(FLAG_CACHE_DIR).unwrap_or(DEFAULT_CACHE_DIR))
+}
+
+/// Parses the shared engine flags into an [`EngineConfig`].
+fn engine_config_from(args: &Args) -> Result<EngineConfig, String> {
+    let no_cache = args.has(FLAG_NO_CACHE);
+    Ok(EngineConfig {
+        jobs: args.parse(FLAG_JOBS, "--jobs value")?.unwrap_or(0),
+        cache_dir: (!no_cache).then(|| cache_dir_of(args)),
+        no_cache,
+    })
 }
 
 /// Writes the spans recorded during the run as Chrome trace-event JSON
 /// when `--trace-json <file>` was given. The file loads directly in
 /// Perfetto or `chrome://tracing`.
-fn write_trace_if_requested(rest: &[&String]) -> Result<(), String> {
-    if let Some(path) = flag_value(rest, FLAG_TRACE_JSON)? {
-        ddtr_obs::write_chrome_trace(Path::new(path.as_str()))
+fn write_trace_if_requested(args: &Args) -> Result<(), String> {
+    if let Some(path) = args.value(FLAG_TRACE_JSON) {
+        ddtr_obs::write_chrome_trace(Path::new(path))
             .map_err(|e| format!("cannot write trace to {path}: {e}"))?;
         eprintln!("wrote {} spans to {path}", ddtr_obs::trace_len());
     }
     Ok(())
 }
 
-/// The one-line engine summary printed after a simulating run.
-fn engine_summary(report: &ddtr_core::EngineReport) -> String {
-    format!(
-        "engine: jobs={} cache_hits={} executed={}",
-        report.jobs, report.cache_hits, report.executed
-    )
-}
-
-/// [`engine_summary`] over an engine's lifetime counters (for subcommands
-/// without a pipeline [`ddtr_core::EngineReport`]).
-fn engine_stats_line(engine: &ExploreEngine) -> String {
-    let stats = engine.stats();
-    engine_summary(&ddtr_core::EngineReport {
-        jobs: engine.jobs(),
-        cache_hits: stats.hits,
-        executed: stats.misses,
-    })
-}
-
-/// The application of a subcommand that requires one.
-fn required_app(rest: &[&String], cmd: &str) -> Result<AppKind, String> {
-    scan_app_positional(rest, cmd)?
-        .ok_or("missing application name")?
-        .parse()
-        .map_err(|e| format!("{e}"))
-}
-
-fn parse_app(rest: &[&String], cmd: &str) -> Result<(AppKind, MethodologyConfig), String> {
-    let app = required_app(rest, cmd)?;
-    let quick = rest.iter().any(|a| a.as_str() == "--quick");
-    let mut cfg = if quick {
-        MethodologyConfig::quick(app)
-    } else {
-        MethodologyConfig::paper(app)
-    };
-    if rest.iter().any(|a| a.as_str() == "--extended") {
-        cfg.candidates = DdtKind::EXTENDED.to_vec();
-    }
-    if let Some(name) = flag_value(rest, FLAG_MEM)? {
-        cfg.mem = name.parse::<MemoryPreset>()?.config();
-    }
-    Ok((app, cfg))
-}
-
 fn profile(rest: &[&String]) -> Result<(), String> {
-    let (app, cfg) = parse_app(rest, "profile")?;
+    let (_, request) = local_request(rest, "profile", "explore", &[&SPEC_FLAGS])?;
+    let ExploreRequest::Explore(cfg) = request else {
+        unreachable!("explore specs resolve to explore requests");
+    };
     let report = profile_application(&cfg).map_err(|e| e.to_string())?;
-    println!("# dominant-DDT profile of {app}");
+    println!("# dominant-DDT profile of {}", cfg.app);
     for slot in &report.slots {
         let marker = if report.dominant.contains(&slot.name) {
             "DOMINANT"
@@ -399,27 +473,42 @@ fn profile(rest: &[&String]) -> Result<(), String> {
     Ok(())
 }
 
+/// Resolves and runs a pipeline subcommand (`explore`, `pareto`,
+/// `report`: the `explore` mode, rendered three ways).
+fn pipeline<'a>(
+    rest: &[&'a String],
+    cmd: &str,
+    rows: &[&FlagRow],
+) -> Result<(Args<'a>, MethodologyOutcome, String), String> {
+    let (args, request) = local_request(rest, cmd, "explore", rows)?;
+    let (result, engine_line) = dispatch_local(&args, &request, |_, _, _| {})?;
+    let ExploreResult::Explore(outcome) = result else {
+        unreachable!("explore requests produce explore results");
+    };
+    Ok((args, outcome, engine_line))
+}
+
 fn explore(rest: &[&String]) -> Result<(), String> {
-    let (app, cfg) = parse_app(rest, "explore")?;
-    let mut engine = engine_from(rest)?;
-    let outcome = Methodology::new(cfg)
-        .run_with(&mut engine)
-        .map_err(|e| e.to_string())?;
-    write_trace_if_requested(rest)?;
-    if let Some(path) = flag_value(rest, "--logs")? {
-        let file = std::fs::File::create(path.as_str()).map_err(|e| e.to_string())?;
+    let output = FlagRow {
+        values: &["--logs"],
+        switches: &["--json"],
+    };
+    let (args, outcome, engine_line) =
+        pipeline(rest, "explore", &[&SPEC_FLAGS, &ENGINE_FLAGS, &output])?;
+    if let Some(path) = args.value("--logs") {
+        let file = std::fs::File::create(path).map_err(|e| e.to_string())?;
         write_logs(&outcome.step2.logs, std::io::BufWriter::new(file))
             .map_err(|e| e.to_string())?;
         eprintln!("wrote {} step-2 logs to {path}", outcome.step2.logs.len());
     }
-    if rest.iter().any(|a| a.as_str() == "--json") {
+    if args.has("--json") {
         println!(
             "{}",
             serde_json::to_string_pretty(&outcome).map_err(|e| e.to_string())?
         );
         return Ok(());
     }
-    println!("# exploration of {app}");
+    println!("# exploration of {}", outcome.config.app);
     println!(
         "step 1: {} simulations, {} survivors ({:.0}% pruned)",
         outcome.step1.measurements.len(),
@@ -444,18 +533,13 @@ fn explore(rest: &[&String]) -> Result<(), String> {
         outcome.counts.exhaustive,
         outcome.counts.reduction() * 100.0
     );
-    println!("{}", engine_summary(&outcome.engine));
+    println!("{engine_line}");
     Ok(())
 }
 
 fn pareto(rest: &[&String]) -> Result<(), String> {
-    let (app, cfg) = parse_app(rest, "pareto")?;
-    let mut engine = engine_from(rest)?;
-    let outcome = Methodology::new(cfg)
-        .run_with(&mut engine)
-        .map_err(|e| e.to_string())?;
-    write_trace_if_requested(rest)?;
-    println!("# Pareto exploration spaces of {app}");
+    let (_, outcome, _) = pipeline(rest, "pareto", &[&SPEC_FLAGS, &ENGINE_FLAGS])?;
+    println!("# Pareto exploration spaces of {}", outcome.config.app);
     for front in &outcome.pareto.per_config {
         let logs = outcome.step2.logs_for(&front.config_key);
         println!("\n== {} ==", front.config_key);
@@ -472,16 +556,14 @@ fn pareto(rest: &[&String]) -> Result<(), String> {
 }
 
 fn report(rest: &[&String]) -> Result<(), String> {
-    let (app, cfg) = parse_app(rest, "report")?;
-    let mut engine = engine_from(rest)?;
-    let outcome = Methodology::new(cfg.clone())
-        .run_with(&mut engine)
-        .map_err(|e| e.to_string())?;
-    write_trace_if_requested(rest)?;
+    let (_, outcome, _) = pipeline(rest, "report", &[&SPEC_FLAGS, &ENGINE_FLAGS])?;
     println!("{}", table1_markdown(&[&outcome]));
     println!("{}", table2_markdown(&[&outcome]));
-    let headline = headline_comparison(&cfg, &outcome).map_err(|e| e.to_string())?;
-    println!("# headline vs original ({app}, both dominant DDTs = SLL)");
+    let headline = headline_comparison(&outcome.config, &outcome).map_err(|e| e.to_string())?;
+    println!(
+        "# headline vs original ({}, both dominant DDTs = SLL)",
+        outcome.config.app
+    );
     println!(
         "energy saving (best-energy point {}): {:.0}%",
         headline.best_energy_combo,
@@ -495,25 +577,27 @@ fn report(rest: &[&String]) -> Result<(), String> {
     Ok(())
 }
 
-fn trace(rest: &[&String]) -> Result<(), String> {
-    let preset: NetworkPreset = rest.first().ok_or("missing preset")?.parse()?;
-    let packets: usize = rest
+/// The synthetic trace `trace` and `params` describe as `<preset>
+/// <packets>`.
+fn preset_trace(rest: &[&String], cmd: &str) -> Result<Trace, String> {
+    let args = scan(rest, cmd, &[])?;
+    let words = args.at_most(2, cmd, "<preset> <packets>")?;
+    let preset: NetworkPreset = words.first().ok_or("missing preset")?.parse()?;
+    let packets: usize = words
         .get(1)
         .ok_or("missing packet count")?
         .parse()
         .map_err(|e| format!("bad packet count: {e}"))?;
-    print!("{}", TraceWriter::to_string(&preset.generate(packets)));
+    Ok(preset.generate(packets))
+}
+
+fn trace(rest: &[&String]) -> Result<(), String> {
+    print!("{}", TraceWriter::to_string(&preset_trace(rest, "trace")?));
     Ok(())
 }
 
 fn params(rest: &[&String]) -> Result<(), String> {
-    let preset: NetworkPreset = rest.first().ok_or("missing preset")?.parse()?;
-    let packets: usize = rest
-        .get(1)
-        .ok_or("missing packet count")?
-        .parse()
-        .map_err(|e| format!("bad packet count: {e}"))?;
-    let p = NetworkParams::extract(&preset.generate(packets));
+    let p = NetworkParams::extract(&preset_trace(rest, "params")?);
     println!("network        : {}", p.network);
     println!("nodes observed : {}", p.nodes_observed);
     println!("duration       : {:.3} s", p.duration_s);
@@ -540,8 +624,12 @@ fn params(rest: &[&String]) -> Result<(), String> {
 }
 
 fn replay(rest: &[&String]) -> Result<(), String> {
-    let path = rest.first().ok_or("missing log file")?;
-    let file = std::fs::File::open(path.as_str()).map_err(|e| e.to_string())?;
+    let args = scan(rest, "replay", &[])?;
+    let path = args
+        .at_most(1, "replay", "<logs.jsonl>")?
+        .first()
+        .ok_or("missing log file")?;
+    let file = std::fs::File::open(path).map_err(|e| e.to_string())?;
     let logs = read_logs(std::io::BufReader::new(file)).map_err(|e| e.to_string())?;
     let n = logs.len();
     let pareto = explore_pareto_level(&step2_from_logs(logs)).map_err(|e| e.to_string())?;
@@ -554,33 +642,13 @@ fn replay(rest: &[&String]) -> Result<(), String> {
 }
 
 fn ga(rest: &[&String]) -> Result<(), String> {
-    let app = required_app(rest, "ga")?;
-    let mut cfg = if rest.iter().any(|a| a.as_str() == "--quick") {
-        GaConfig::quick(app)
-    } else {
-        GaConfig::paper(app)
+    let (args, request) = local_request(rest, "ga", "ga", &[&SPEC_FLAGS, &ENGINE_FLAGS])?;
+    let (result, engine_line) = dispatch_local(&args, &request, |_, _, _| {})?;
+    let (ExploreRequest::Ga(cfg), ExploreResult::Ga(outcome)) = (&request, result) else {
+        unreachable!("ga requests produce ga results");
     };
-    if rest.iter().any(|a| a.as_str() == "--extended") {
-        cfg.candidates = DdtKind::EXTENDED.to_vec();
-    }
-    if let Some(seed) = flag_value(rest, "--seed")? {
-        cfg.seed = seed.parse().map_err(|e| format!("bad seed: {e}"))?;
-    }
-    if let Some(stall) = flag_value(rest, "--stall")? {
-        cfg.stall_generations = Some(
-            stall
-                .parse()
-                .map_err(|e| format!("bad stall window: {e}"))?,
-        );
-    }
-    if let Some(name) = flag_value(rest, FLAG_MEM)? {
-        cfg.mem = name.parse::<MemoryPreset>()?.config();
-    }
     let space = cfg.candidates.len().pow(2);
-    let mut engine = engine_from(rest)?;
-    let outcome = explore_heuristic_with(&mut engine, &cfg).map_err(|e| e.to_string())?;
-    write_trace_if_requested(rest)?;
-    println!("# heuristic (NSGA-II) exploration of {app}");
+    println!("# heuristic (NSGA-II) exploration of {}", cfg.app);
     println!(
         "candidates: {} kinds ({} combinations), seed {}",
         cfg.candidates.len(),
@@ -602,39 +670,25 @@ fn ga(rest: &[&String]) -> Result<(), String> {
     for log in &outcome.front {
         println!("  {:20} {}", log.combo, log.report);
     }
-    println!("{}", engine_stats_line(&engine));
+    println!("{engine_line}");
     Ok(())
 }
 
 fn scenarios(rest: &[&String]) -> Result<(), String> {
-    let base: NetworkPreset = match flag_value(rest, "--base")? {
-        Some(v) => v.parse()?,
-        None => NetworkPreset::DartmouthBerry,
+    let (args, request) = local_request(
+        rest,
+        "scenarios",
+        "scenarios",
+        &[&SPEC_FLAGS, &ENGINE_FLAGS],
+    )?;
+    let (result, engine_line) = dispatch_local(&args, &request, |_, _, _| {})?;
+    let ExploreResult::Scenarios(matrix) = result else {
+        unreachable!("scenarios requests produce scenario matrices");
     };
-    let mut cfg = if rest.iter().any(|a| a.as_str() == "--quick") {
-        ScenarioConfig::quick(base)
-    } else {
-        ScenarioConfig::paper(base)
-    };
-    if rest.iter().any(|a| a.as_str() == "--extended") {
-        cfg.candidates = DdtKind::EXTENDED.to_vec();
-    }
-    if let Some(app) = scan_app_positional(rest, "scenarios")? {
-        cfg.apps = vec![app.parse().map_err(|e| format!("{e}"))?];
-    }
-    if let Some(packets) = flag_value(rest, "--packets")? {
-        cfg.packets_per_sim = packets
-            .parse()
-            .map_err(|e| format!("bad packet count: {e}"))?;
-    }
-    if let Some(name) = flag_value(rest, FLAG_MEM)? {
-        cfg.mem = name.parse::<MemoryPreset>()?.config();
-    }
-    let mut engine = engine_from(rest)?;
-    let matrix = explore_scenarios_with(&mut engine, &cfg).map_err(|e| e.to_string())?;
-    write_trace_if_requested(rest)?;
+    let cfg = &matrix.config;
     println!(
-        "# scenario matrix over {base}: {} apps x {} scenarios, {} packets/sim (streamed)",
+        "# scenario matrix over {}: {} apps x {} scenarios, {} packets/sim (streamed)",
+        cfg.base,
         cfg.apps.len(),
         cfg.scenarios.len(),
         cfg.packets_per_sim
@@ -673,54 +727,25 @@ fn scenarios(rest: &[&String]) -> Result<(), String> {
             );
         }
     }
-    println!("\n{}", engine_stats_line(&engine));
+    println!("\n{engine_line}");
     Ok(())
 }
 
 fn sweep(rest: &[&String]) -> Result<(), String> {
-    let base: NetworkPreset = match flag_value(rest, "--base")? {
-        Some(v) => v.parse()?,
-        None => NetworkPreset::DartmouthBerry,
+    let (args, request) = local_request(rest, "sweep", "sweep", &[&SPEC_FLAGS, &ENGINE_FLAGS])?;
+    let ExploreRequest::Sweep(cfg) = &request else {
+        unreachable!("sweep specs resolve to sweep requests");
     };
-    let mut cfg = if rest.iter().any(|a| a.as_str() == "--quick") {
-        SweepConfig::quick(base)
-    } else {
-        SweepConfig::paper(base)
-    };
-    if rest.iter().any(|a| a.as_str() == "--extended") {
-        cfg.candidates = DdtKind::EXTENDED.to_vec();
-    }
-    if let Some(app) = scan_app_positional(rest, "sweep")? {
-        cfg.apps = vec![app.parse().map_err(|e| format!("{e}"))?];
-    }
-    let scenario_names = repeated_flag_values(rest, "--scenario")?;
-    if !scenario_names.is_empty() {
-        cfg.scenarios = scenario_names
-            .iter()
-            .map(|n| n.parse::<Scenario>())
-            .collect::<Result<_, _>>()?;
-    }
-    if let Some(packets) = flag_value(rest, "--packets")? {
-        cfg.packets_per_sim = packets
-            .parse()
-            .map_err(|e| format!("bad packet count: {e}"))?;
-    }
-    if let Some(list) = flag_value(rest, FLAG_MEM)? {
-        cfg.mem_presets = list
-            .split(',')
-            .map(|n| n.parse::<MemoryPreset>())
-            .collect::<Result<_, _>>()?;
-    }
-    let mut engine = engine_from(rest)?;
     println!(
-        "# platform sweep over {base}: {} apps x {} scenarios x {} platforms, {} packets/sim (streamed)",
+        "# platform sweep over {}: {} apps x {} scenarios x {} platforms, {} packets/sim (streamed)",
+        cfg.base,
         cfg.apps.len(),
         cfg.scenarios.len(),
         cfg.mem_presets.len(),
         cfg.packets_per_sim
     );
     // Cells print as they complete — the sweep streams on the CLI too.
-    let matrix = explore_sweep_observed(&mut engine, &cfg, |cell, done, total| {
+    let (result, engine_line) = dispatch_local(&args, &request, |cell, done, total| {
         println!(
             "\n== [{done}/{total}] {} under {} on {} ({}) ==",
             cell.app, cell.scenario, cell.mem, cell.network
@@ -733,9 +758,10 @@ fn sweep(rest: &[&String]) -> Result<(), String> {
         for log in &cell.front {
             println!("  {:20} {}", log.combo, log.report);
         }
-    })
-    .map_err(|e| e.to_string())?;
-    write_trace_if_requested(rest)?;
+    })?;
+    let ExploreResult::Sweep(matrix) = result else {
+        unreachable!("sweep requests produce sweep matrices");
+    };
     // The cross-platform answer: who survives on how many cells?
     let cells = matrix.cells.len();
     println!("\n# cross-platform survivors ({cells} cells)");
@@ -756,7 +782,7 @@ fn sweep(rest: &[&String]) -> Result<(), String> {
         robust.len(),
         matrix.survivors.len()
     );
-    println!("\n{}", engine_stats_line(&engine));
+    println!("\n{engine_line}");
     Ok(())
 }
 
@@ -766,36 +792,25 @@ const ENV_SERVE_DAEMONIZED: &str = "DDTR_SERVE_DAEMONIZED";
 
 /// Parses the hardened-edge flags of `ddtr serve` into a
 /// [`ServerConfig`] on top of the shared engine flags.
-fn server_config_from(rest: &[&String]) -> Result<ServerConfig, String> {
-    let mut cfg = ServerConfig::new(engine_config_from(rest)?);
-    if let Some(v) = flag_value(rest, "--workers")? {
-        cfg.workers = v.parse().map_err(|e| format!("bad --workers value: {e}"))?;
-    }
-    if let Some(v) = flag_value(rest, "--auth-token")? {
-        cfg.auth_token = Some(v.clone());
-    }
-    if let Some(v) = flag_value(rest, "--max-conns")? {
-        cfg.max_connections = v
-            .parse()
-            .map_err(|e| format!("bad --max-conns value: {e}"))?;
-    }
-    if let Some(v) = flag_value(rest, "--max-inflight")? {
-        cfg.max_inflight = v
-            .parse()
-            .map_err(|e| format!("bad --max-inflight value: {e}"))?;
-    }
-    if let Some(v) = flag_value(rest, "--rate-limit")? {
-        cfg.rate_limit = Some(
-            v.parse()
-                .map_err(|e| format!("bad --rate-limit value: {e}"))?,
-        );
-    }
-    if let Some(v) = flag_value(rest, "--max-request-bytes")? {
-        cfg.max_request_bytes = v
-            .parse()
-            .map_err(|e| format!("bad --max-request-bytes value: {e}"))?;
-    }
-    Ok(cfg)
+fn server_config_from(args: &Args) -> Result<ServerConfig, String> {
+    let defaults = ServerConfig::new(engine_config_from(args)?);
+    Ok(ServerConfig {
+        workers: args
+            .parse("--workers", "--workers value")?
+            .unwrap_or(defaults.workers),
+        auth_token: args.value("--auth-token").map(str::to_string),
+        max_connections: args
+            .parse("--max-conns", "--max-conns value")?
+            .unwrap_or(defaults.max_connections),
+        max_inflight: args
+            .parse("--max-inflight", "--max-inflight value")?
+            .unwrap_or(defaults.max_inflight),
+        rate_limit: args.parse("--rate-limit", "--rate-limit value")?,
+        max_request_bytes: args
+            .parse("--max-request-bytes", "--max-request-bytes value")?
+            .unwrap_or(defaults.max_request_bytes),
+        ..defaults
+    })
 }
 
 /// Re-executes `ddtr serve` detached from the terminal (null stdio, the
@@ -825,14 +840,30 @@ fn daemonize_serve(pid_file: Option<&Path>) -> Result<(), String> {
 }
 
 fn serve(rest: &[&String]) -> Result<(), String> {
-    let endpoint: Endpoint = match flag_value(rest, "--listen")? {
+    let row = FlagRow {
+        values: &[
+            "--listen",
+            "--workers",
+            "--auth-token",
+            "--max-conns",
+            "--max-inflight",
+            "--rate-limit",
+            "--max-request-bytes",
+            "--pid-file",
+            FLAG_JOBS,
+            FLAG_CACHE_DIR,
+        ],
+        switches: &["--daemon", FLAG_NO_CACHE],
+    };
+    let args = scan(rest, "serve", &[&row])?;
+    args.at_most(0, "serve", "no positional arguments")?;
+    let endpoint: Endpoint = match args.value("--listen") {
         Some(raw) => raw.parse()?,
         None => Endpoint::Stdio,
     };
-    let pid_file = flag_value(rest, "--pid-file")?.map(PathBuf::from);
-    let daemon_requested = rest.iter().any(|a| a.as_str() == "--daemon");
+    let pid_file = args.value("--pid-file").map(PathBuf::from);
     let is_daemon_child = std::env::var_os(ENV_SERVE_DAEMONIZED).is_some();
-    if daemon_requested && !is_daemon_child {
+    if args.has("--daemon") && !is_daemon_child {
         if endpoint == Endpoint::Stdio {
             return Err(
                 "--daemon needs a socket endpoint (--listen tcp:<addr> or unix:<path>)".to_string(),
@@ -848,7 +879,7 @@ fn serve(rest: &[&String]) -> Result<(), String> {
             ddtr_serve::write_pidfile(path, std::process::id()).map_err(|e| e.to_string())?;
         }
     }
-    let server = Server::with_config(server_config_from(rest)?).map_err(|e| e.to_string())?;
+    let server = Server::with_config(server_config_from(&args)?).map_err(|e| e.to_string())?;
     server.listen(&endpoint).map_err(|e| e.to_string())
 }
 
@@ -857,46 +888,51 @@ fn serve(rest: &[&String]) -> Result<(), String> {
 /// the run was not clean or broke the `--p99-ms` bound, so CI can gate
 /// on the bare exit code.
 fn loadtest(rest: &[&String]) -> Result<(), String> {
-    let endpoint: Endpoint = rest
+    let row = FlagRow {
+        values: &[
+            "--clients",
+            "--pings",
+            "--explores",
+            "--apps",
+            "--auth-token",
+            "--connect-retries",
+            "--p99-ms",
+        ],
+        switches: &["--full", "--json"],
+    };
+    let args = scan(rest, "loadtest", &[&row])?;
+    let endpoint: Endpoint = args
+        .at_most(1, "loadtest", "one endpoint")?
         .first()
-        .filter(|a| !a.starts_with("--"))
         .ok_or("loadtest needs an endpoint (tcp:<addr> or unix:<path>)")?
         .parse()?;
     if endpoint == Endpoint::Stdio {
         return Err("loadtest needs a socket endpoint (stdio serves exactly one client)".into());
     }
-    let mut cfg = LoadtestConfig::new(endpoint);
-    if let Some(v) = flag_value(rest, "--clients")? {
-        cfg.clients = v.parse().map_err(|e| format!("bad --clients value: {e}"))?;
-    }
-    if let Some(v) = flag_value(rest, "--pings")? {
-        cfg.pings = v.parse().map_err(|e| format!("bad --pings value: {e}"))?;
-    }
-    if let Some(v) = flag_value(rest, "--explores")? {
-        cfg.explores = v
-            .parse()
-            .map_err(|e| format!("bad --explores value: {e}"))?;
-    }
-    if rest.iter().any(|a| a.as_str() == "--full") {
-        cfg.quick = false;
-    }
-    if let Some(list) = flag_value(rest, "--apps")? {
-        cfg.apps = list.split(',').map(str::to_string).collect();
-    }
-    if let Some(v) = flag_value(rest, "--auth-token")? {
-        cfg.auth = Some(v.clone());
-    }
-    if let Some(v) = flag_value(rest, "--connect-retries")? {
-        cfg.connect_retries = v
-            .parse()
-            .map_err(|e| format!("bad --connect-retries value: {e}"))?;
-    }
-    let p99_bound_ms: Option<u64> = match flag_value(rest, "--p99-ms")? {
-        Some(v) => Some(v.parse().map_err(|e| format!("bad --p99-ms value: {e}"))?),
-        None => None,
+    let defaults = LoadtestConfig::new(endpoint);
+    let cfg = LoadtestConfig {
+        clients: args
+            .parse("--clients", "--clients value")?
+            .unwrap_or(defaults.clients),
+        pings: args
+            .parse("--pings", "--pings value")?
+            .unwrap_or(defaults.pings),
+        explores: args
+            .parse("--explores", "--explores value")?
+            .unwrap_or(defaults.explores),
+        quick: !args.has("--full"),
+        apps: args.value("--apps").map_or(defaults.apps.clone(), |list| {
+            list.split(',').map(str::to_string).collect()
+        }),
+        auth: args.value("--auth-token").map(str::to_string),
+        connect_retries: args
+            .parse("--connect-retries", "--connect-retries value")?
+            .unwrap_or(defaults.connect_retries),
+        ..defaults
     };
+    let p99_bound_ms: Option<u64> = args.parse("--p99-ms", "--p99-ms value")?;
     let report = ddtr_serve::loadtest::run(&cfg);
-    if rest.iter().any(|a| a.as_str() == "--json") {
+    if args.has("--json") {
         println!(
             "{}",
             serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?
@@ -937,83 +973,17 @@ fn loadtest(rest: &[&String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Builds the `Run` job spec of a `ddtr query` invocation from its
-/// CLI-style arguments (everything after the endpoint).
-/// Query flags that consume a value. The positional scanner in
-/// [`query_spec`] skips exactly these constants, and the extraction below
-/// it reads the same names through [`flag_value`], so adding a
-/// value-taking query flag cannot desynchronise the two.
-const QUERY_VALUE_FLAGS: [&str; 6] = [
-    "--base",
-    "--packets",
-    "--seed",
-    "--scenario",
-    "--id",
-    FLAG_MEM,
-];
-
-fn query_spec(rest: &[&String]) -> Result<JobSpec, String> {
-    let mut spec = JobSpec::default();
-    let mut positionals: Vec<&String> = Vec::new();
-    let mut i = 0;
-    while i < rest.len() {
-        match rest[i].as_str() {
-            "--quick" => spec.quick = true,
-            "--extended" => spec.extended = true,
-            "--stream" => spec.stream = true,
-            "--json" | "--quiet" => {} // handled by `query` itself
-            flag if QUERY_VALUE_FLAGS.contains(&flag) => i += 1,
-            flag if flag.starts_with("--") => return Err(format!("unknown query flag `{flag}`")),
-            _ => positionals.push(rest[i]),
-        }
-        i += 1;
-    }
-    match positionals.as_slice() {
-        [] => return Err("query needs a mode (explore, ga, scenarios, sweep or headline)".into()),
-        [mode] => spec.mode = Some((*mode).clone()),
-        [mode, app] => {
-            spec.mode = Some((*mode).clone());
-            spec.app = Some((*app).clone());
-        }
-        more => {
-            return Err(format!(
-                "query takes mode [app], got {} positionals",
-                more.len()
-            ))
-        }
-    }
-    spec.base = flag_value(rest, "--base")?.cloned();
-    if let Some(packets) = flag_value(rest, "--packets")? {
-        spec.packets = Some(
-            packets
-                .parse()
-                .map_err(|e| format!("bad packet count: {e}"))?,
-        );
-    }
-    if let Some(seed) = flag_value(rest, "--seed")? {
-        spec.seed = Some(seed.parse().map_err(|e| format!("bad seed: {e}"))?);
-    }
-    // `--scenario` may repeat; collect every occurrence.
-    let scenarios = repeated_flag_values(rest, "--scenario")?;
-    if !scenarios.is_empty() {
-        spec.scenarios = Some(scenarios.into_iter().cloned().collect());
-    }
-    // `--mem` takes one preset (single-platform modes) or a
-    // comma-separated platform axis (sweep); the spec carries the list
-    // and the server enforces arity per mode.
-    if let Some(list) = flag_value(rest, FLAG_MEM)? {
-        spec.mem = Some(list.split(',').map(str::to_string).collect());
-    }
-    Ok(spec)
-}
-
 /// Fetches the server's metrics exposition (Prometheus-style text) and
-/// prints it verbatim. `metrics` is not an exploration mode, so it skips
-/// [`query_spec`] entirely.
+/// prints it verbatim. `metrics` is not an exploration mode, so it takes
+/// no spec flags.
 fn query_metrics(endpoint: &Endpoint, rest: &[&String]) -> Result<(), String> {
-    let id = flag_value(rest, "--id")?
-        .cloned()
-        .unwrap_or_else(|| "m1".to_string());
+    let row = FlagRow {
+        values: &["--id"],
+        switches: &[],
+    };
+    let args = scan(rest, "query metrics", &[&row])?;
+    args.at_most(0, "query metrics", "no arguments beyond the endpoint")?;
+    let id = args.value("--id").unwrap_or("m1");
     let mut client = Client::connect(endpoint).map_err(|e| e.to_string())?;
     let reply = client
         .call(&Request::new(id, RequestBody::Metrics), |_| {})
@@ -1036,18 +1006,17 @@ fn query(rest: &[&String]) -> Result<(), String> {
     if rest.get(1).is_some_and(|m| m.as_str() == "metrics") {
         return query_metrics(&endpoint, &rest[2..]);
     }
-    let spec = query_spec(&rest[1..])?;
+    let args = scan(&rest[1..], "query", &[&SPEC_FLAGS, &QUERY_FLAGS])?;
+    let spec = job_spec(&args, "query", None)?;
     // Validate locally first for a fast, offline error message.
-    spec.resolve().map_err(|e| e.to_string())?;
-    let id = flag_value(rest, "--id")?
-        .cloned()
-        .unwrap_or_else(|| "q1".to_string());
-    let json = rest.iter().any(|a| a.as_str() == "--json");
-    let quiet = rest.iter().any(|a| a.as_str() == "--quiet");
+    resolve(&spec)?;
+    let id = args.value("--id").unwrap_or("q1");
+    let json = args.has("--json");
+    let quiet = args.has("--quiet");
     let mut client = Client::connect(&endpoint).map_err(|e| e.to_string())?;
     let mut progressed = false;
     let reply = client
-        .call(&Request::run(id.clone(), spec), |event| {
+        .call(&Request::run(id, spec), |event| {
             if quiet {
                 return;
             }
@@ -1127,11 +1096,22 @@ fn query(rest: &[&String]) -> Result<(), String> {
 }
 
 fn cache(rest: &[&String]) -> Result<(), String> {
-    let action = rest
-        .first()
-        .ok_or("cache needs `stats`, `clear`, `verify`, `compact`, `import` or `export`")?;
-    let dir = cache_dir_of(rest)?;
-    match action.as_str() {
+    let row = FlagRow {
+        values: &[FLAG_CACHE_DIR],
+        switches: &[],
+    };
+    let args = scan(rest, "cache", &[&row])?;
+    let [action, file @ ..] = args.at_most(2, "cache", "an action and at most one file")? else {
+        return Err(
+            "cache needs `stats`, `clear`, `verify`, `compact`, `import` or `export`".into(),
+        );
+    };
+    let file = file.first().copied();
+    if file.is_some() && !matches!(*action, "import" | "export") {
+        return Err(format!("cache {action} takes no file"));
+    }
+    let dir = cache_dir_of(&args);
+    match *action {
         "stats" => {
             let (entries, bytes) = SimCache::inspect(&dir).map_err(|e| e.to_string())?;
             println!("cache dir : {}", dir.display());
@@ -1190,22 +1170,14 @@ fn cache(rest: &[&String]) -> Result<(), String> {
             Ok(())
         }
         "import" => {
-            let file = rest
-                .get(1)
-                .filter(|a| !a.starts_with("--"))
-                .ok_or("cache import needs a JSONL file path")?;
-            let count = SimCache::import_store(&dir, Path::new(file.as_str()))
-                .map_err(|e| e.to_string())?;
+            let file = file.ok_or("cache import needs a JSONL file path")?;
+            let count = SimCache::import_store(&dir, Path::new(file)).map_err(|e| e.to_string())?;
             println!("imported  : {count} entries from {file}");
             Ok(())
         }
         "export" => {
-            let file = rest
-                .get(1)
-                .filter(|a| !a.starts_with("--"))
-                .ok_or("cache export needs an output file path")?;
-            let count = SimCache::export_store(&dir, Path::new(file.as_str()))
-                .map_err(|e| e.to_string())?;
+            let file = file.ok_or("cache export needs an output file path")?;
+            let count = SimCache::export_store(&dir, Path::new(file)).map_err(|e| e.to_string())?;
             println!("exported  : {count} entries to {file}");
             Ok(())
         }
@@ -1216,9 +1188,36 @@ fn cache(rest: &[&String]) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ddtr_apps::AppKind;
+    use ddtr_core::MethodologyConfig;
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| (*s).to_string()).collect()
+    }
+
+    /// The application and pipeline configuration an `explore`-mode
+    /// subcommand's arguments resolve to.
+    fn parse_app(rest: &[&String], cmd: &str) -> Result<(AppKind, MethodologyConfig), String> {
+        match local_request(rest, cmd, "explore", &[&SPEC_FLAGS, &ENGINE_FLAGS])?.1 {
+            ExploreRequest::Explore(cfg) => Ok((cfg.app, cfg)),
+            other => Err(format!("resolved to a {} request", other.mode())),
+        }
+    }
+
+    /// The request a local subcommand's arguments resolve to in `mode`.
+    fn local(list: &[&str], cmd: &str, mode: &str) -> Result<ExploreRequest, String> {
+        let binding = args(list);
+        let rest: Vec<&String> = binding.iter().collect();
+        Ok(local_request(&rest, cmd, mode, &[&SPEC_FLAGS, &ENGINE_FLAGS])?.1)
+    }
+
+    /// The request a `ddtr query` command line (after the endpoint)
+    /// resolves to before it is sent.
+    fn query_request(list: &[&str]) -> Result<ExploreRequest, String> {
+        let binding = args(list);
+        let rest: Vec<&String> = binding.iter().collect();
+        let scanned = scan(&rest, "query", &[&SPEC_FLAGS, &QUERY_FLAGS])?;
+        resolve(&job_spec(&scanned, "query", None)?)
     }
 
     #[test]
@@ -1374,6 +1373,125 @@ mod tests {
             let err = run(&args(list)).unwrap_err();
             assert!(err.contains(needle), "{list:?}: {err}");
         }
+    }
+
+    #[test]
+    fn every_subcommand_rejects_unknown_flags_and_stray_positionals() {
+        // Each typo rides with an input that would fail anyway, or with a
+        // read-only action, so a regression neither serves nor deletes.
+        let tmp = ddtr_engine::testing::TempCacheDir::new("cli-strict");
+        let dir = tmp.path().to_string_lossy().into_owned();
+        for (list, needle) in [
+            (
+                &["serve", "--worker", "4", "--listen", "carrier-pigeon:coop"][..],
+                "`--worker`",
+            ),
+            (
+                &[
+                    "serve",
+                    "--max-conn",
+                    "2",
+                    "--listen",
+                    "carrier-pigeon:coop",
+                ],
+                "`--max-conn`",
+            ),
+            (
+                &["serve", "stdio", "--listen", "carrier-pigeon:coop"],
+                "no positional arguments",
+            ),
+            (&["loadtest", "stdio", "--client", "3"], "`--client`"),
+            (&["cache", "stats", "--cachedir", &dir], "`--cachedir`"),
+            (&["cache", "stats", "extra", "--cache-dir", &dir], "no file"),
+            (
+                &["query", "tcp:127.0.0.1:1", "metrics", "--frobnicate"],
+                "`--frobnicate`",
+            ),
+            (&["trace", "BWY-I", "10", "extra"], "<preset> <packets>"),
+            (&["params", "BWY-I", "10", "extra"], "<preset> <packets>"),
+            (
+                &["replay", "/nonexistent/logs.jsonl", "extra"],
+                "<logs.jsonl>",
+            ),
+        ] {
+            let err = run(&args(list)).unwrap_err();
+            assert!(err.contains(needle), "{list:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn local_subcommands_and_query_resolve_the_same_request() {
+        for (mode, list) in [
+            ("explore", &["drr", "--quick", "--mem", "l2"][..]),
+            ("ga", &["nat", "--quick", "--seed", "7", "--stall", "2"]),
+            ("scenarios", &["--quick", "--scenario", "ddos-syn", "url"]),
+            (
+                "sweep",
+                &["--quick", "--packets", "40", "--mem", "embedded,deep"],
+            ),
+        ] {
+            let local = local(list, mode, mode).expect("local spec resolves");
+            let remote = query_request(&[&[mode][..], list].concat()).expect("query resolves");
+            assert_eq!(
+                serde_json::to_string(&local).expect("ser"),
+                serde_json::to_string(&remote).expect("ser"),
+                "{mode}: CLI and query must resolve one request"
+            );
+        }
+    }
+
+    #[test]
+    fn query_carries_the_stall_window() {
+        let request = query_request(&["ga", "drr", "--quick", "--stall", "2"]).expect("ga");
+        let ExploreRequest::Ga(cfg) = request else {
+            panic!("wrong mode {}", request.mode());
+        };
+        assert_eq!(cfg.stall_generations, Some(2));
+        // The spec field, not the CLI, rejects it on every other mode.
+        let err = run(&args(&[
+            "query",
+            "tcp:127.0.0.1:1",
+            "explore",
+            "drr",
+            "--stall",
+            "2",
+        ]))
+        .unwrap_err();
+        assert!(err.contains("`--stall`"), "{err}");
+        let err = run(&args(&["scenarios", "drr", "--quick", "--stall", "2"])).unwrap_err();
+        assert!(err.contains("`--stall`"), "{err}");
+    }
+
+    #[test]
+    fn scenarios_take_scenario_columns() {
+        let list = [
+            "drr",
+            "--quick",
+            "--packets",
+            "20",
+            "--scenario",
+            "ddos-syn",
+        ];
+        let request = local(&list, "scenarios", "scenarios").expect("resolves");
+        let ExploreRequest::Scenarios(cfg) = request else {
+            panic!("wrong mode {}", request.mode());
+        };
+        assert_eq!(cfg.scenarios, vec![Scenario::DdosSyn], "one column");
+        assert_eq!(cfg.apps, vec![AppKind::Drr]);
+        run(&args(
+            &[&["scenarios"][..], &list, &["--no-cache"]].concat(),
+        ))
+        .expect("one-column matrix runs");
+        // A misspelt field of another mode is named by its flag.
+        let err = run(&args(&[
+            "explore",
+            "drr",
+            "--quick",
+            "--scenario",
+            "bursty",
+        ]))
+        .unwrap_err();
+        assert!(err.contains("`--scenario`"), "{err}");
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub const SERVER_CAPABILITIES: &[&str] = &["auth", "cancel", "cells", "codes", "
 // The serde-compat manifest: the v1 wire shape, pinned. `ddtr-lint`
 // cross-checks it against the types below both ways — removing or
 // renaming anything listed here is a wire break and fails CI; fields
-// added since v1 (`JobSpec.mem`, `Event::Stats.metrics`,
+// added since v1 (`JobSpec.mem`, `JobSpec.stall`, `Event::Stats.metrics`,
 // `Event::Hello.{capabilities,workers}`, `Event::Error.code`) must stay
 // optional, and enum variants beyond the lists (`Metrics`, `Cell`,
 // `Welcome`, `RequestBody::Hello`) are additive. `ErrorCode` shipped
@@ -317,6 +317,10 @@ pub struct JobSpec {
     /// RNG seed override (`ga` only).
     #[serde(default)]
     pub seed: Option<u64>,
+    /// Early-stop window: end the GA after this many generations without
+    /// a front improvement (`ga` only; `--stall`).
+    #[serde(default)]
+    pub stall: Option<usize>,
     /// Memory presets: exactly one for `explore`/`ga`/`scenarios`/
     /// `headline` (the platform to run on), any distinct set for `sweep`
     /// (the platform axis; default: the whole catalog). Unknown names are
@@ -410,6 +414,7 @@ impl JobSpec {
                 reject("scenarios", self.scenarios.is_some())?;
                 reject("packets", self.packets.is_some())?;
                 reject("seed", self.seed.is_some())?;
+                reject("stall", self.stall.is_some())?;
                 let mut cfg = if self.quick {
                     MethodologyConfig::quick(app)
                 } else {
@@ -443,6 +448,9 @@ impl JobSpec {
                 if let Some(seed) = self.seed {
                     cfg.seed = seed;
                 }
+                if let Some(window) = self.stall {
+                    cfg.stall_generations = Some(window);
+                }
                 if let Some(preset) = single_mem()? {
                     cfg.mem = preset.config();
                 }
@@ -450,6 +458,7 @@ impl JobSpec {
             }
             "scenarios" => {
                 reject("seed", self.seed.is_some())?;
+                reject("stall", self.stall.is_some())?;
                 let base: NetworkPreset = match &self.base {
                     Some(name) => name.parse().map_err(|e| unknown(&e))?,
                     None => NetworkPreset::DartmouthBerry,
@@ -481,6 +490,7 @@ impl JobSpec {
             }
             "sweep" => {
                 reject("seed", self.seed.is_some())?;
+                reject("stall", self.stall.is_some())?;
                 let base: NetworkPreset = match &self.base {
                     Some(name) => name.parse().map_err(|e| unknown(&e))?,
                     None => NetworkPreset::DartmouthBerry,
@@ -880,6 +890,43 @@ mod tests {
                 serde_json::to_string(&request).expect("ser"),
             );
         }
+    }
+
+    #[test]
+    fn stall_reaches_the_ga_and_no_other_mode() {
+        let spec = JobSpec {
+            quick: true,
+            stall: Some(2),
+            ..JobSpec::preset("ga", Some("drr"))
+        };
+        let request = spec.resolve().expect("resolves");
+        let ExploreRequest::Ga(cfg) = &request else {
+            panic!("wrong mode {}", request.mode());
+        };
+        assert_eq!(cfg.stall_generations, Some(2));
+        for mode in ["explore", "headline", "scenarios", "sweep"] {
+            let err = JobSpec {
+                stall: Some(2),
+                ..JobSpec::preset(mode, Some("drr"))
+            }
+            .resolve()
+            .unwrap_err();
+            assert_eq!(
+                err,
+                ResolveError::FlagNotApplicable {
+                    flag: "stall".into(),
+                    mode: mode.into()
+                }
+            );
+        }
+        // A `Run` line from before `stall` existed still decodes.
+        let line = r#"{"id":"g","body":{"Run":{"mode":"ga","app":"drr","quick":true,"seed":7}}}"#;
+        let back: Request = serde_json::from_str(line).expect("decodes without `stall`");
+        let RequestBody::Run(spec) = back.body else {
+            panic!("wrong body");
+        };
+        assert_eq!(spec.stall, None);
+        assert_eq!(spec.resolve().expect("resolves").mode(), "ga");
     }
 
     #[test]

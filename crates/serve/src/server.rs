@@ -28,10 +28,12 @@ use crate::protocol::{
 };
 use ddtr_core::{dispatch_observed, CacheStats, ExploreError};
 use ddtr_engine::{BatchControl, EngineConfig, EngineError, EngineSession};
+use std::any::Any;
 use std::collections::HashMap;
 use std::fmt;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -200,6 +202,16 @@ fn reject_counter(code: ErrorCode) -> Option<&'static str> {
         ErrorCode::Overloaded => Some("serve.reject.overload"),
         _ => None,
     }
+}
+
+/// The message a caught panic carries (`panic!` with a literal or a
+/// formatted string).
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("no message")
 }
 
 /// Records one end-to-end request latency sample: receipt of the request
@@ -629,7 +641,10 @@ impl Server {
                             // every other mode never invokes the observer.
                             let cell_writer = Arc::clone(&result_writer);
                             let cell_id = id.clone();
-                            let outcome =
+                            // A panic costs this request only: it ends as
+                            // an `Internal` error and releases everything
+                            // below like any other error.
+                            let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
                                 dispatch_observed(&mut engine, &explore, |cell, done, total| {
                                     cell_writer.emit(&Event::Cell {
                                         id: cell_id.clone(),
@@ -640,7 +655,14 @@ impl Server {
                                         mem: cell.mem,
                                         front: cell.front_labels(),
                                     });
-                                });
+                                })
+                            }))
+                            .unwrap_or_else(|payload| {
+                                Err(ExploreError::Engine(format!(
+                                    "exploration panicked: {}",
+                                    panic_message(payload.as_ref())
+                                )))
+                            });
                             inflight
                                 .lock()
                                 .unwrap_or_else(PoisonError::into_inner)

@@ -706,6 +706,31 @@ fn inline_configs_round_trip_through_a_live_server() {
     );
 }
 
+#[test]
+fn a_request_that_panics_costs_only_that_request() {
+    // 256 bytes of DRAM pass `validate()` but exhaust the simulated heap
+    // in the first profiling insert, which panics inside the worker.
+    let mut starved = MethodologyConfig::quick(ddtr_apps::AppKind::Drr);
+    starved.mem.dram.capacity_bytes = 256;
+    let script = vec![
+        run_line("boom", &JobSpec::inline(ExploreRequest::Explore(starved))),
+        ping_line("alive"),
+        run_line("after", &quick_explore_spec()),
+    ];
+    let events = serve_script(2, &script);
+    let boom = terminal_for(&events, "boom");
+    assert_eq!(boom.error_code(), Some(ErrorCode::Internal), "{boom:?}");
+    assert!(
+        matches!(terminal_for(&events, "alive"), Event::Pong { .. }),
+        "{events:?}"
+    );
+    assert!(
+        matches!(terminal_for(&events, "after"), Event::Result { .. }),
+        "{events:?}"
+    );
+    assert!(matches!(events.last(), Some(Event::Bye)), "{events:?}");
+}
+
 fn secured_config() -> ServerConfig {
     ServerConfig {
         auth_token: Some("sesame".into()),
