@@ -13,8 +13,8 @@
 
 use ddtr_apps::AppKind;
 use ddtr_core::{ExploreEngine, Methodology, MethodologyConfig};
-use ddtr_engine::timing::time_secs;
 use std::process::ExitCode;
+use std::time::Instant;
 
 /// Timed runs per variant; the minimum is compared.
 const ROUNDS: usize = 5;
@@ -32,16 +32,15 @@ fn best_explore_secs() -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..ROUNDS {
         let mut engine = ExploreEngine::with_jobs(1);
-        let (outcome, secs) = time_secs(|| {
-            Methodology::new(cfg.clone())
-                .run_with(&mut engine)
-                .expect("exploration runs")
-        });
+        let start = Instant::now();
+        let outcome = Methodology::new(cfg.clone())
+            .run_with(&mut engine)
+            .expect("exploration runs");
+        best = best.min(start.elapsed().as_secs_f64());
         assert!(
             !outcome.pareto.global_front.is_empty(),
             "explore produces a front"
         );
-        best = best.min(secs);
     }
     best
 }

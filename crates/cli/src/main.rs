@@ -910,10 +910,15 @@ fn loadtest(rest: &[&String]) -> Result<(), String> {
         return Err("loadtest needs a socket endpoint (stdio serves exactly one client)".into());
     }
     let defaults = LoadtestConfig::new(endpoint);
+    let clients = args
+        .parse("--clients", "--clients value")?
+        .unwrap_or(defaults.clients);
+    if clients == 0 {
+        // Zero clients send nothing, so the run would pass as clean.
+        return Err("bad --clients value: a loadtest needs at least 1 client".into());
+    }
     let cfg = LoadtestConfig {
-        clients: args
-            .parse("--clients", "--clients value")?
-            .unwrap_or(defaults.clients),
+        clients,
         pings: args
             .parse("--pings", "--pings value")?
             .unwrap_or(defaults.pings),
@@ -1719,6 +1724,8 @@ mod tests {
         let err = run(&args(&["loadtest", "stdio"])).unwrap_err();
         assert!(err.contains("socket endpoint"), "{err}");
         let err = run(&args(&["loadtest", "tcp:127.0.0.1:1", "--clients", "many"])).unwrap_err();
+        assert!(err.contains("bad --clients"), "{err}");
+        let err = run(&args(&["loadtest", "tcp:127.0.0.1:1", "--clients", "0"])).unwrap_err();
         assert!(err.contains("bad --clients"), "{err}");
         let err = run(&args(&["loadtest", "tcp:127.0.0.1:1", "--p99-ms", "slow"])).unwrap_err();
         assert!(err.contains("bad --p99-ms"), "{err}");

@@ -21,12 +21,11 @@
 //!   [`BatchControl`]). It also decides how a [`StreamSpec`] workload's
 //!   packets reach the simulator: generated once per batch up to
 //!   [`MATERIALIZE_MAX_PACKETS`], streamed per unit above it.
-//!
-//! [`StreamSpec`]: ddtr_trace::StreamSpec
 //! * [`EngineSession`] — the resident-process form: one shared result
 //!   cache and one FIFO [`JobsPool`] served to any number of concurrent
 //!   requests (the substrate of `ddtr serve`).
-//! * [`timing`] — the wall-clock harness behind `BENCH_explore.json`.
+//!
+//! [`StreamSpec`]: ddtr_trace::StreamSpec
 //!
 //! The primitive simulation types ([`Simulator`], [`SimLog`], [`Combo`])
 //! live here too and are re-exported by `ddtr_core` for compatibility.
@@ -62,7 +61,6 @@ mod session;
 mod sim;
 pub mod store;
 pub mod testing;
-pub mod timing;
 
 pub use cache::{CacheStats, SimCache, CACHE_FILE};
 pub use combo::{all_combos, combo_label, combos_from, parse_combo, Combo};

@@ -23,11 +23,12 @@
 //!   Complete-but-unpublished tail records are salvaged by scan; torn
 //!   ones are detected and skipped.
 //! * **O(1) open, shared reads**: [`PileStore::open`] reads only segment
-//!   headers — open time is independent of record count (benchmarked in
-//!   `BENCH_explore.json`, gated in CI). Any number of processes read
-//!   one directory concurrently; each appending process owns its own
-//!   `O_EXCL`-created segment, so writers never contend for bytes — that
-//!   exclusive ownership is the append lock.
+//!   headers — the bytes it reads do not grow with record count (counted
+//!   as `engine.store.read_bytes` and gated by the `store_open_reads`
+//!   test). Any number of processes read one directory concurrently;
+//!   each appending process owns its own `O_EXCL`-created segment, so
+//!   writers never contend for bytes — that exclusive ownership is the
+//!   append lock.
 //!
 //! The read path goes through one trait — [`pages::PageSource`], `pread`
 //! on unix plus an aligned-chunk cache ([`pages::CachedPages`]) — the

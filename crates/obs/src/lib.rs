@@ -1,11 +1,9 @@
 //! `ddtr_obs` — process-wide observability for the ddtr workspace.
 //!
-//! The exploration loop's cost profile (trace generation vs. simulation
-//! vs. Pareto/GA selection vs. service overhead) was invisible until this
-//! crate: the only instrumentation was the wall-clock [`BenchReport`]
-//! in `ddtr_engine::timing`, and the serve tier reported nothing but
-//! cache totals. `ddtr_obs` is the measurement layer every later perf PR
-//! is judged against. It provides:
+//! A wall-clock timing says how long an exploration took, not where the
+//! time went: trace generation, simulation, Pareto/GA selection or
+//! service overhead. `ddtr_obs` is the measurement layer inside the
+//! program that splits it. It provides:
 //!
 //! * a process-wide [`Registry`] of atomic [`Counter`]s, [`Gauge`]s and
 //!   fixed-bucket log-scale latency [`Histogram`]s with p50/p90/p99
@@ -24,11 +22,11 @@
 //! gauges, histograms and spans are write-only from the exploration
 //! code's point of view: no ddtr crate reads a metric back to make a
 //! decision. The workspace's headline guarantee — byte-identical Pareto
-//! fronts at any `--jobs N`, instrumentation on or off — is regression
-//! -tested in `crates/core/tests/determinism.rs`. `ddtr-lint` covers this
-//! crate with the `no-panic-boundary`, `lock-across-io` and `det-iter`
-//! rules: recording a metric must never panic a server, stall a peer or
-//! introduce hash-order iteration.
+//! fronts at any `--jobs N`, instrumentation on or off — is
+//! regression-tested in `crates/core/tests/obs_determinism.rs`.
+//! `ddtr-lint` covers this crate with the `no-panic-boundary`,
+//! `lock-across-io` and `det-iter` rules: recording a metric must never
+//! panic a server, stall a peer or introduce hash-order iteration.
 //!
 //! # Disabling
 //!
@@ -52,7 +50,6 @@
 //! assert!(snap.counters["example.iterations"] >= 1);
 //! ```
 //!
-//! [`BenchReport`]: https://docs.rs/ddtr_engine
 //! [`render_prometheus`]: crate::render_prometheus
 
 pub mod hist;

@@ -29,8 +29,7 @@
 //! * [`Client`] — the blocking client behind `ddtr query` and the
 //!   integration tests, with [`ClientBuilder`] layering the versioned
 //!   handshake, auth, timeouts and connect retries on top.
-//! * [`loadtest`] — the concurrent load harness behind `ddtr loadtest`
-//!   and the `BENCH_serve.json` benchmarks.
+//! * [`loadtest`] — the concurrent load harness behind `ddtr loadtest`.
 //!
 //! See `docs/PROTOCOL.md` for the full wire schema with a worked
 //! transcript and `docs/ARCHITECTURE.md` for where the service sits in

@@ -1,5 +1,4 @@
-//! The concurrent load-driving harness behind `ddtr loadtest` and the
-//! `ddtr_bench` serve benchmarks.
+//! The concurrent load-driving harness behind `ddtr loadtest`.
 //!
 //! One [`run`] drives `clients` concurrent connections against a live
 //! server, each performing the same scripted workload — handshake,
@@ -10,10 +9,8 @@
 //! prove cache warmth (a repeated run against the same fleet must
 //! report `executed == 0`).
 //!
-//! The harness lives in `ddtr_serve` so the CLI subcommand, the
-//! `serve_baseline` bench and the `loadtest` bench share one
-//! implementation — and, being inside the serve boundary, it is held to
-//! the same no-panic discipline as the server it exercises.
+//! The harness lives in `ddtr_serve`, inside the serve boundary, so it
+//! is held to the same no-panic discipline as the server it exercises.
 
 use crate::client::Client;
 use crate::endpoint::Endpoint;
@@ -47,7 +44,7 @@ pub struct LoadtestConfig {
 }
 
 impl LoadtestConfig {
-    /// The `serve_baseline` workload: 4 clients, 50 pings and 4 quick
+    /// The `ddtr loadtest` defaults: 4 clients, 50 pings and 4 quick
     /// `drr` explores each, one connect retry.
     #[must_use]
     pub fn new(endpoint: Endpoint) -> Self {

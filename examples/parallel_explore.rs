@@ -8,7 +8,8 @@
 
 use ddtr::apps::AppKind;
 use ddtr::core::{Methodology, MethodologyConfig};
-use ddtr::engine::{timing::time_secs, EngineConfig, ExploreEngine};
+use ddtr::engine::{EngineConfig, ExploreEngine};
+use std::time::Instant;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cache_dir = std::env::temp_dir().join("ddtr-parallel-explore-example");
@@ -24,11 +25,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cfg = MethodologyConfig::quick(AppKind::Drr);
 
     // Cold run: every simulation executes on the work-stealing pool and is
-    // appended to <cache-dir>/sim-cache.jsonl as it completes.
+    // appended to the pile store's `<cache-dir>/seg-*.ddts` segments as it
+    // completes.
     let mut cold_engine = ExploreEngine::new(engine_cfg.clone())?;
     println!("cold run on {} workers...", cold_engine.jobs());
-    let (cold, cold_secs) = time_secs(|| Methodology::new(cfg.clone()).run_with(&mut cold_engine));
-    let cold = cold?;
+    let start = Instant::now();
+    let cold = Methodology::new(cfg.clone()).run_with(&mut cold_engine)?;
+    let cold_secs = start.elapsed().as_secs_f64();
     println!(
         "  {} simulations executed, {} cache hits, {:.3}s",
         cold.engine.executed, cold.engine.cache_hits, cold_secs
@@ -38,8 +41,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // the same cache directory. Nothing simulates; the Pareto front is
     // byte-identical.
     let mut warm_engine = ExploreEngine::new(engine_cfg)?;
-    let (warm, warm_secs) = time_secs(|| Methodology::new(cfg).run_with(&mut warm_engine));
-    let warm = warm?;
+    let start = Instant::now();
+    let warm = Methodology::new(cfg).run_with(&mut warm_engine)?;
+    let warm_secs = start.elapsed().as_secs_f64();
     println!(
         "warm run: {} executed, {} cache hits, {:.3}s ({:.0}x faster)",
         warm.engine.executed,
