@@ -12,6 +12,8 @@ pub struct FixtureParams {
     pub scratch: u64,
     /// Covered by the manifest.
     pub seed: u64,
+    /// Crate-visible fields are serialized too: not in the manifest, flagged.
+    pub(crate) hidden_knob: usize,
 }
 
 /// A decoy whose name embeds the target's: must not be parsed as it.

@@ -4,12 +4,11 @@
 //! The repo's core guarantees — byte-identical Pareto fronts at any
 //! `--jobs`, NaN-safe float ordering, structured errors (never panics)
 //! across the serve protocol boundary, mutex guards never held across
-//! blocking I/O, lock acquisitions that cannot deadlock, a wire
-//! protocol old peers keep decoding, docs that match the code, and
-//! `CacheKey` fingerprints that cover every config field — were
-//! enforced by hand-audit through PR 5, and had already started
-//! regressing. This crate mechanizes them as eight rules (see
-//! [`rules`]) that run in milliseconds on every CI push:
+//! blocking I/O, lock acquisitions that cannot deadlock, docs that match
+//! the code, and `CacheKey` fingerprints that cover every config field —
+//! were enforced by hand audit at first, and had already started
+//! regressing. This crate mechanizes them as seven rules (see [`rules`])
+//! that run in milliseconds on every CI push:
 //!
 //! | rule | invariant |
 //! |------|-----------|
@@ -19,8 +18,10 @@
 //! | `cache-key-coverage` | config fields are declared fingerprint-covered in key.rs |
 //! | `lock-across-io` | no mutex guard held across write/flush in crates/serve |
 //! | `lock-order` | no acquisition cycles; no guard held across a pool-blocking call |
-//! | `serde-compat` | wire types stay decodable by v1 peers (pinned manifest) |
 //! | `doc-drift` | metric names, protocol variants and CLI verbs match their docs |
+//!
+//! Wire compatibility is not a lint: recorded transcripts pin it
+//! (`crates/serve/tests/wire_transcripts.rs`).
 //!
 //! The checker is deliberately dependency-light (no `syn`, like the
 //! repo's hand-written vendored serde derive): a small Rust lexer

@@ -28,6 +28,7 @@
 
 use super::Rule;
 use crate::diag::Finding;
+use crate::scope::ItemKind;
 use crate::source::SourceFile;
 use crate::Workspace;
 use std::collections::BTreeSet;
@@ -90,7 +91,11 @@ impl Rule for CacheKeyCoverage {
                 ));
                 continue;
             };
-            let Some(parsed) = parse_struct(file, &entry.strukt) else {
+            let Some(strukt) = file
+                .scope
+                .type_item(&entry.strukt)
+                .filter(|i| i.kind == ItemKind::Struct)
+            else {
                 out.push(Finding::deny(
                     MANIFEST_FILE,
                     entry.line,
@@ -103,24 +108,24 @@ impl Rule for CacheKeyCoverage {
                 ));
                 continue;
             };
-            for (field, line) in &parsed.fields {
-                if !entry.fields.contains(field) {
+            for field in &strukt.fields {
+                if !entry.fields.contains(&field.name) {
                     out.push(Finding::deny(
                         &entry.file,
-                        *line,
+                        field.line,
                         self.name(),
                         format!(
-                            "field `{field}` of `{}` feeds a CacheKey fingerprint but is \
+                            "field `{}` of `{}` feeds a CacheKey fingerprint but is \
                              not declared in the coverage manifest \
                              ({MANIFEST_FILE}); confirm it is serde-visible (no skip) \
                              and add it to the manifest",
-                            entry.strukt
+                            field.name, entry.strukt
                         ),
                     ));
                 }
             }
             for field in &entry.fields {
-                if !parsed.fields.iter().any(|(f, _)| f == field) {
+                if !strukt.fields.iter().any(|f| f.name == *field) {
                     out.push(Finding::deny(
                         MANIFEST_FILE,
                         entry.line,
@@ -133,7 +138,12 @@ impl Rule for CacheKeyCoverage {
                     ));
                 }
             }
-            for line in &parsed.skips {
+            let skips = strukt
+                .fields
+                .iter()
+                .flat_map(|f| &f.attrs)
+                .filter(|(_, attr)| attr.starts_with("#[serde(") && attr.contains("skip"));
+            for (line, _) in skips {
                 out.push(Finding::deny(
                     &entry.file,
                     *line,
@@ -184,73 +194,4 @@ fn parse_manifest(key_rs: &SourceFile) -> Vec<Entry> {
         });
     }
     entries
-}
-
-struct ParsedStruct {
-    /// `(field name, 1-based line)` in declaration order.
-    fields: Vec<(String, usize)>,
-    /// Lines carrying `#[serde(skip..)]` attributes inside the body.
-    skips: Vec<usize>,
-}
-
-/// Finds `struct <name> { .. }` in the file's code view and collects its
-/// top-level named fields (pub or private — serde sees both).
-fn parse_struct(file: &SourceFile, name: &str) -> Option<ParsedStruct> {
-    let needle = format!("struct {name}");
-    let start = file.code.iter().position(|l| {
-        l.contains(&needle)
-            && !l
-                .split(&needle)
-                .nth(1)
-                .is_some_and(|rest| rest.starts_with(|c: char| c.is_alphanumeric() || c == '_'))
-    })?;
-    let mut depth = 0usize;
-    let mut opened = false;
-    let mut fields = Vec::new();
-    let mut skips = Vec::new();
-    for (j, line) in file.code.iter().enumerate().skip(start) {
-        // A tuple struct / unit struct ends before any `{`.
-        if !opened && line.contains(';') && !line.contains('{') {
-            return Some(ParsedStruct { fields, skips });
-        }
-        if opened && depth == 1 {
-            let trimmed = line.trim();
-            if trimmed.starts_with("#[") {
-                // Attributes are blanked in the code view only when they
-                // sit in strings; check the raw line for serde(skip.
-                let raw = file.raw.get(j).map_or("", String::as_str);
-                if raw.contains("serde(") && raw.contains("skip") {
-                    skips.push(j + 1);
-                }
-            } else {
-                let decl = trimmed.strip_prefix("pub ").unwrap_or(trimmed);
-                if let Some(colon) = decl.find(':') {
-                    let field: String = decl[..colon]
-                        .trim()
-                        .chars()
-                        .take_while(|c| c.is_alphanumeric() || *c == '_')
-                        .collect();
-                    if !field.is_empty() && decl[..colon].trim().len() == field.len() {
-                        fields.push((field, j + 1));
-                    }
-                }
-            }
-        }
-        for c in line.chars() {
-            match c {
-                '{' => {
-                    opened = true;
-                    depth += 1;
-                }
-                '}' => {
-                    depth = depth.saturating_sub(1);
-                    if opened && depth == 0 {
-                        return Some(ParsedStruct { fields, skips });
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-    Some(ParsedStruct { fields, skips })
 }

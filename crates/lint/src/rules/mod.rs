@@ -1,9 +1,8 @@
 //! The rule catalog.
 //!
 //! Every rule implements [`Rule`] over the whole [`Workspace`] (most scan
-//! file by file; `cache-key-coverage` and `serde-compat` are genuinely
-//! cross-file, `lock-order` is inter-procedural, `doc-drift` crosses into
-//! markdown). The checker in [`crate::run`] applies waivers afterwards,
+//! file by file; `cache-key-coverage` is genuinely cross-file,
+//! `lock-order` is inter-procedural, `doc-drift` crosses into markdown). The checker in [`crate::run`] applies waivers afterwards,
 //! so rules report every raw violation they see.
 //!
 //! Path scoping lives in one declarative [`SCOPES`] table instead of a
@@ -20,7 +19,6 @@ mod float_ord;
 mod lock_io;
 mod lock_order;
 mod no_panic;
-mod serde_compat;
 
 pub use cache_key::CacheKeyCoverage;
 pub use det_iter::DetIter;
@@ -29,7 +27,6 @@ pub use float_ord::FloatOrd;
 pub use lock_io::LockAcrossIo;
 pub use lock_order::LockOrder;
 pub use no_panic::NoPanicBoundary;
-pub use serde_compat::SerdeCompat;
 
 /// One invariant checker.
 pub trait Rule {
@@ -51,7 +48,6 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
         Box::new(CacheKeyCoverage),
         Box::new(LockAcrossIo),
         Box::new(LockOrder),
-        Box::new(SerdeCompat),
         Box::new(DocDrift),
     ]
 }
@@ -66,10 +62,10 @@ pub struct Scope {
     pub files: &'static [&'static str],
 }
 
-/// Which rule watches which files, declaratively. `float-ord`,
-/// `cache-key-coverage` and `serde-compat` are absent on purpose: the
-/// first is workspace-wide, the other two anchor on a manifest file of
-/// their own (`engine/src/key.rs`, `serve/src/protocol.rs`).
+/// Which rule watches which files, declaratively. `float-ord` and
+/// `cache-key-coverage` are absent on purpose: the first is
+/// workspace-wide, the second anchors on a manifest file of its own
+/// (`engine/src/key.rs`).
 ///
 /// Scope rationale, kept with the data it explains:
 ///

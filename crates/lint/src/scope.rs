@@ -1,8 +1,8 @@
 //! A lightweight item parser over the token stream.
 //!
 //! Rules that reason about *shape* — which functions exist (and on which
-//! impl type), where their bodies start and end, what fields a struct or
-//! enum variant carries, which items are `#[cfg(test)]` — get it from
+//! impl type), where their bodies start and end, what fields a struct
+//! carries, which items are `#[cfg(test)]` — get it from
 //! here instead of re-deriving it from line heuristics. The parser is
 //! deliberately partial: it tracks items, attributes, visibility,
 //! impl/mod/trait nesting and brace-balanced bodies, and skips anything
@@ -30,15 +30,14 @@ pub enum ItemKind {
     Trait,
 }
 
-/// One named field of a struct or struct-variant.
+/// One named field of a struct.
 #[derive(Debug, Clone)]
 pub struct FieldDef {
     /// Field name.
     pub name: String,
-    /// Attribute texts (`#[serde(default)]`), concatenated token-wise.
-    pub attrs: Vec<String>,
-    /// Concatenated type tokens (`Option<String>`).
-    pub ty: String,
+    /// Attributes as `(1-based line, text concatenated token-wise)`:
+    /// `(3, "#[serde(default)]")`.
+    pub attrs: Vec<(usize, String)>,
     /// 1-based line of the field name.
     pub line: usize,
 }
@@ -48,10 +47,6 @@ pub struct FieldDef {
 pub struct VariantDef {
     /// Variant name.
     pub name: String,
-    /// Attribute texts.
-    pub attrs: Vec<String>,
-    /// Named fields (struct variants only; tuple payloads have none).
-    pub fields: Vec<FieldDef>,
     /// 1-based line of the variant name.
     pub line: usize,
 }
@@ -495,7 +490,7 @@ fn skip_angles(toks: &[Tok], i: usize, end: usize) -> usize {
     j
 }
 
-/// Parses `name: Type` fields at depth 0 of a struct (or struct-variant)
+/// Parses `name: Type` fields of any visibility at depth 0 of a struct
 /// body token range.
 fn parse_fields(toks: &[Tok], range: std::ops::Range<usize>) -> Vec<FieldDef> {
     let mut fields = Vec::new();
@@ -504,8 +499,9 @@ fn parse_fields(toks: &[Tok], range: std::ops::Range<usize>) -> Vec<FieldDef> {
     while i < end {
         let mut attrs = Vec::new();
         while i < end && toks[i].is_punct('#') {
+            let line = toks[i].line;
             let (attr, next) = consume_attr(toks, i, end);
-            attrs.push(attr);
+            attrs.push((line, attr));
             i = next;
         }
         if i < end && toks[i].is_ident("pub") {
@@ -519,7 +515,6 @@ fn parse_fields(toks: &[Tok], range: std::ops::Range<usize>) -> Vec<FieldDef> {
             let line = toks[i].line;
             i += 2;
             // The type runs to the next `,` at zero nesting depth.
-            let mut ty = String::new();
             let mut depth = 0i64;
             let mut angles = 0i64;
             while i < end {
@@ -537,15 +532,9 @@ fn parse_fields(toks: &[Tok], range: std::ops::Range<usize>) -> Vec<FieldDef> {
                 } else if t.is_punct('>') && !(i > 0 && toks[i - 1].is_punct('-')) {
                     angles -= 1;
                 }
-                ty.push_str(&t.text);
                 i += 1;
             }
-            fields.push(FieldDef {
-                name,
-                attrs,
-                ty,
-                line,
-            });
+            fields.push(FieldDef { name, attrs, line });
         } else {
             i += 1;
         }
@@ -559,48 +548,29 @@ fn parse_variants(toks: &[Tok], range: std::ops::Range<usize>) -> Vec<VariantDef
     let mut i = range.start;
     let end = range.end;
     while i < end {
-        let mut attrs = Vec::new();
         while i < end && toks[i].is_punct('#') {
-            let (attr, next) = consume_attr(toks, i, end);
-            attrs.push(attr);
-            i = next;
+            i = consume_attr(toks, i, end).1;
         }
         if i >= end || toks[i].kind != TokKind::Ident {
             i += 1;
             continue;
         }
-        let name = toks[i].text.clone();
-        let line = toks[i].line;
+        variants.push(VariantDef {
+            name: toks[i].text.clone(),
+            line: toks[i].line,
+        });
         i += 1;
-        let mut fields = Vec::new();
-        if i < end && toks[i].is_punct('(') {
-            i = skip_balanced(toks, i, end, '(', ')');
-        } else if i < end && toks[i].is_punct('{') {
-            let past = skip_balanced(toks, i, end, '{', '}');
-            fields = parse_fields(toks, i + 1..past.saturating_sub(1));
-            i = past;
-        }
-        // Optional discriminant, then the separating comma.
+        // Payload, optional discriminant, then the separating comma.
         while i < end && !toks[i].is_punct(',') {
-            if toks[i].is_punct('{') || toks[i].is_punct('(') {
-                i = skip_balanced(
-                    toks,
-                    i,
-                    end,
-                    if toks[i].is_punct('{') { '{' } else { '(' },
-                    if toks[i].is_punct('{') { '}' } else { ')' },
-                );
+            if toks[i].is_punct('{') {
+                i = skip_balanced(toks, i, end, '{', '}');
+            } else if toks[i].is_punct('(') {
+                i = skip_balanced(toks, i, end, '(', ')');
             } else {
                 i += 1;
             }
         }
         i += 1; // the comma
-        variants.push(VariantDef {
-            name,
-            attrs,
-            fields,
-            line,
-        });
     }
     variants
 }
@@ -648,8 +618,7 @@ mod tests {
         let item = s.type_item("JobSpec").expect("struct");
         let names: Vec<&str> = item.fields.iter().map(|f| f.name.as_str()).collect();
         assert_eq!(names, ["mode", "quick", "mem"]);
-        assert_eq!(item.fields[1].attrs, ["#[serde(default)]"]);
-        assert_eq!(item.fields[2].ty, "Option<String>");
+        assert_eq!(item.fields[1].attrs, [(3, "#[serde(default)]".to_string())]);
     }
 
     #[test]
@@ -664,9 +633,6 @@ mod tests {
         let item = s.type_item("Event").expect("enum");
         let names: Vec<&str> = item.variants.iter().map(|v| v.name.as_str()).collect();
         assert_eq!(names, ["Hello", "Run", "Bye"]);
-        let hello = &item.variants[0];
-        assert_eq!(hello.fields.len(), 2);
-        assert_eq!(hello.fields[0].name, "protocol");
     }
 
     #[test]

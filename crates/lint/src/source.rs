@@ -52,8 +52,6 @@ pub struct SourceFile {
     pub waivers: Vec<Waiver>,
     /// The token stream.
     pub tokens: Vec<Tok>,
-    /// Comment trivia, in source order.
-    pub comments: Vec<Comment>,
     /// Parsed items (functions, types, impls, mods).
     pub scope: FileScope,
 }
@@ -87,7 +85,6 @@ impl SourceFile {
             in_test,
             waivers,
             tokens,
-            comments,
             scope,
         }
     }

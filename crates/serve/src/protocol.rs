@@ -13,6 +13,12 @@
 //! a full [`ExploreRequest`] configuration — or by *preset*: mode, app
 //! and the same flags the CLI subcommands take ([`JobSpec::resolve`] is
 //! the one place both spellings meet).
+//!
+//! The types may only change compatibly. Two recorded transcripts in this
+//! crate's `tests/data/`, `wire_requests.jsonl` and `wire_events.jsonl`,
+//! hold every request and event shape as it first shipped, v1 lines
+//! first. `tests/wire_transcripts.rs` decodes each line with today's
+//! types and requires the re-encoding to keep every key of the line.
 
 use ddtr_apps::AppKind;
 use ddtr_core::{
@@ -26,42 +32,15 @@ use serde::{Deserialize, Serialize};
 
 /// Version of the wire protocol; servers announce it in [`Event::Hello`]
 /// and reject a [`RequestBody::Hello`] naming any other version with
-/// [`ErrorCode::UnsupportedProtocol`]. Everything since v1 is additive,
-/// so the number has not moved.
+/// [`ErrorCode::UnsupportedProtocol`]. Everything since v1 is additive —
+/// the recorded v1 transcripts still decode (see the module docs) — so
+/// the number has not moved.
 pub const PROTOCOL_VERSION: u32 = 1;
 
 /// Capability names a fleet server advertises in [`Event::Hello`] /
 /// [`Event::Welcome`]: what this build can do beyond the bare v1 wire
 /// shape. Clients must ignore names they do not know.
 pub const SERVER_CAPABILITIES: &[&str] = &["auth", "cancel", "cells", "codes", "fleet", "metrics"];
-
-// The serde-compat manifest: the v1 wire shape, pinned. `ddtr-lint`
-// cross-checks it against the types below both ways — removing or
-// renaming anything listed here is a wire break and fails CI; fields
-// added since v1 (`JobSpec.mem`, `JobSpec.stall`, `Event::Stats.metrics`,
-// `Event::Hello.{capabilities,workers}`, `Event::Error.code`) must stay
-// optional, and enum variants beyond the lists (`Metrics`, `Cell`,
-// `Welcome`, `RequestBody::Hello`) are additive. `ErrorCode` shipped
-// whole with the fleet surface, so its variant list is pinned from its
-// first release. Bump deliberately by editing this block in the same
-// commit.
-//
-// ddtr-lint: serde-compat begin
-// struct Request v1: id, body
-// enum RequestBody v1: Ping, Stats, Run, Cancel, Shutdown
-// variant RequestBody::Cancel v1: target
-// struct JobSpec v1: inline, mode, app, quick, extended, stream, base, scenarios, packets, seed
-// enum Event v1: Hello, Pong, Queued, Running, Result, Stats, Cancelled, Error, Bye
-// variant Event::Hello v1: protocol, server, jobs
-// variant Event::Pong v1: id
-// variant Event::Queued v1: id
-// variant Event::Running v1: id, done, total
-// variant Event::Result v1: id, executed, cache_hits, result
-// variant Event::Stats v1: id, stats, jobs
-// variant Event::Cancelled v1: id
-// variant Event::Error v1: id, error
-// enum ErrorCode v1: Parse, BadRequest, AuthRequired, AuthFailed, UnsupportedProtocol, RateLimited, TooLarge, DuplicateId, UnknownTarget, Overloaded, Internal
-// ddtr-lint: serde-compat end
 
 /// Stable machine-readable classification of an [`Event::Error`].
 ///
@@ -678,7 +657,10 @@ impl Event {
         }
     }
 
-    /// Whether this event ends its request (result, cancelled or error).
+    /// Whether this event is the last one about its request: `Result`,
+    /// `Cancelled` or `Error`, or the single reply to a `Hello`, `Ping`,
+    /// `Stats` or `Metrics` request (`Welcome`, `Pong`, `Stats`,
+    /// `Metrics`).
     #[must_use]
     pub fn is_terminal(&self) -> bool {
         matches!(

@@ -707,6 +707,50 @@ fn inline_configs_round_trip_through_a_live_server() {
 }
 
 #[test]
+fn the_recorded_request_transcript_replays_through_a_live_server() {
+    // `wire_transcripts.rs` shows every recorded request still decodes;
+    // only a live server shows each one is still answered.
+    let script: Vec<String> = include_str!("data/wire_requests.jsonl")
+        .lines()
+        .map(String::from)
+        .collect();
+    let requests: Vec<Request> = script
+        .iter()
+        .map(|line| serde_json::from_str(line).expect("decodes"))
+        .collect();
+    let (last, answered) = requests.split_last().expect("a non-empty transcript");
+    assert!(
+        matches!(last.body, RequestBody::Shutdown),
+        "the transcript ends with Shutdown, which is answered by `Bye` alone"
+    );
+    let ids: std::collections::BTreeSet<&str> = requests.iter().map(|r| r.id.as_str()).collect();
+    assert_eq!(ids.len(), requests.len(), "transcript ids must be unique");
+    let events = serve_script(2, &script);
+    for request in answered {
+        let terminals: Vec<&Event> = events
+            .iter()
+            .filter(|e| e.is_terminal() && e.id() == Some(request.id.as_str()))
+            .collect();
+        assert_eq!(
+            terminals.len(),
+            1,
+            "`{}` needs exactly one terminal event: {terminals:?}",
+            request.id
+        );
+    }
+    for event in &events {
+        assert!(
+            !matches!(
+                event.error_code(),
+                Some(ErrorCode::Parse | ErrorCode::BadRequest)
+            ),
+            "a recorded request was refused: {event:?}"
+        );
+    }
+    assert!(matches!(events.last(), Some(Event::Bye)), "{events:?}");
+}
+
+#[test]
 fn a_request_that_panics_costs_only_that_request() {
     // 256 bytes of DRAM pass `validate()` but exhaust the simulated heap
     // in the first profiling insert, which panics inside the worker.
