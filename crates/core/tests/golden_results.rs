@@ -1,7 +1,8 @@
 //! Golden pipeline results: a digest of everything a user reads off the
 //! quick `explore`, `headline` and `ga` runs of every application (plus an
-//! extended-library explore and two non-default platforms), checked part
-//! by part against `data/golden_results.txt`.
+//! extended-library explore, two non-default platforms, a scenario matrix
+//! and a platform sweep), checked part by part against
+//! `data/golden_results.txt`.
 //!
 //! `ddtr_engine`'s `golden_costs` corpus pins single simulations; this
 //! file pins what the methodology builds from them: workload construction,
@@ -17,11 +18,13 @@
 use ddtr_apps::AppKind;
 use ddtr_core::{
     dispatch_with, ExploreRequest, ExploreResult, GaConfig, GaOutcome, HeadlineReport,
-    MethodologyConfig, MethodologyOutcome, ParetoPoint,
+    MethodologyConfig, MethodologyOutcome, ParetoPoint, ScenarioConfig, ScenarioMatrix,
+    SweepConfig, SweepMatrix,
 };
 use ddtr_ddt::DdtKind;
 use ddtr_engine::{fnv1a64, ExploreEngine, SimLog};
 use ddtr_mem::{CostReport, MemoryPreset};
+use ddtr_trace::{NetworkPreset, Scenario};
 
 const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/golden_results.txt");
 const GOLDEN: &str = include_str!("data/golden_results.txt");
@@ -87,12 +90,34 @@ impl Digest {
 }
 
 /// One named part of a result and its digest.
-type Part = (&'static str, String);
+type Part = (String, String);
 
-fn part(name: &'static str, fill: impl FnOnce(&mut Digest)) -> Part {
+fn part(name: impl Into<String>, fill: impl FnOnce(&mut Digest)) -> Part {
     let mut d = Digest::default();
     fill(&mut d);
-    (name, d.finish())
+    (name.into(), d.finish())
+}
+
+/// One matrix cell's part, named `cell.<app>.<scenario>[.<preset>]`.
+fn cell_part(
+    app: AppKind,
+    scenario: Scenario,
+    preset: Option<MemoryPreset>,
+    network: &str,
+    evaluations: usize,
+    front: &[SimLog],
+) -> Part {
+    let mut name = format!("cell.{}.{scenario}", app.to_string().to_lowercase());
+    if let Some(preset) = preset {
+        name = format!("{name}.{preset}");
+    }
+    part(name, |d| {
+        d.str(&app.to_string()).str(&scenario.to_string());
+        if let Some(preset) = preset {
+            d.str(&preset.to_string());
+        }
+        d.str(network).u64(evaluations as u64).logs(front);
+    })
 }
 
 fn explore_parts(o: &MethodologyOutcome) -> Vec<Part> {
@@ -167,12 +192,44 @@ fn ga_parts(o: &GaOutcome) -> Vec<Part> {
     ]
 }
 
+fn scenario_parts(m: &ScenarioMatrix) -> Vec<Part> {
+    m.cells
+        .iter()
+        .map(|c| cell_part(c.app, c.scenario, None, &c.network, c.evaluations, &c.front))
+        .collect()
+}
+
+fn sweep_parts(m: &SweepMatrix) -> Vec<Part> {
+    let mut parts: Vec<Part> = m
+        .cells
+        .iter()
+        .map(|c| {
+            cell_part(
+                c.app,
+                c.scenario,
+                Some(c.mem),
+                &c.network,
+                c.evaluations,
+                &c.front,
+            )
+        })
+        .collect();
+    parts.push(part("survivors", |d| {
+        d.u64(m.survivors.len() as u64);
+        for s in &m.survivors {
+            d.str(&s.combo).u64(s.cells_on_front as u64);
+        }
+    }));
+    parts
+}
+
 fn parts_of(result: &ExploreResult) -> Vec<Part> {
     match result {
         ExploreResult::Explore(o) => explore_parts(o),
         ExploreResult::Headline(h) => headline_parts(h),
         ExploreResult::Ga(o) => ga_parts(o),
-        other => panic!("no golden parts for mode {}", other.mode()),
+        ExploreResult::Scenarios(m) => scenario_parts(m),
+        ExploreResult::Sweep(m) => sweep_parts(m),
     }
 }
 
@@ -218,6 +275,30 @@ fn cases() -> Vec<Vec<(String, ExploreRequest)>> {
     groups.push(vec![(
         "ga-nat-quick-mem-spm".into(),
         ExploreRequest::Ga(spm),
+    )]);
+    // The matrix modes on a 4-kind candidate set and 40-packet streams.
+    let candidates = vec![
+        DdtKind::Array,
+        DdtKind::Sll,
+        DdtKind::DllRov,
+        DdtKind::SllChunk,
+    ];
+    let mut scenarios = ScenarioConfig::quick(NetworkPreset::DartmouthBerry);
+    scenarios.apps = vec![AppKind::Drr, AppKind::Url];
+    scenarios.scenarios = vec![Scenario::Baseline, Scenario::FlashCrowd, Scenario::DdosSyn];
+    scenarios.candidates = candidates.clone();
+    scenarios.packets_per_sim = 40;
+    let mut sweep = SweepConfig::quick(NetworkPreset::DartmouthBerry);
+    sweep.mem_presets = vec![MemoryPreset::Embedded, MemoryPreset::L2, MemoryPreset::Spm];
+    sweep.candidates = candidates;
+    sweep.packets_per_sim = 40;
+    groups.push(vec![(
+        "scenarios-drr-url-4ddt".into(),
+        ExploreRequest::Scenarios(scenarios),
+    )]);
+    groups.push(vec![(
+        "sweep-drr-embedded-l2-spm-4ddt".into(),
+        ExploreRequest::Sweep(sweep),
     )]);
     groups
 }
