@@ -5,7 +5,7 @@
 //! front membership is robust and (b) footprint differences stay within
 //! the allocator's own overhead, so step-1/2 conclusions carry over.
 //!
-//! Run with `cargo run -p ddtr-bench --bin ablation_alloc --release`.
+//! Run with `cargo run -p ddtr_bench --bin ablation_alloc --release`.
 
 use ddtr_apps::{AppKind, AppParams};
 use ddtr_core::{all_combos, combo_label};

@@ -5,7 +5,7 @@
 //! *change* with the traffic shape. This is the paper's core argument for
 //! step 2 (network-level exploration), demonstrated on the burst axis.
 //!
-//! Run with `cargo run -p ddtr-bench --bin ablation_burst --release`.
+//! Run with `cargo run -p ddtr_bench --bin ablation_burst --release`.
 
 use ddtr_apps::{AppKind, AppParams};
 use ddtr_core::{all_combos, combo_label, Simulator};

@@ -1,8 +1,8 @@
 //! Ablation — **chunk capacity**: sweep the records-per-chunk capacity of
 //! the chunked (unrolled) list DDTs and report the traversal-cost versus
-//! slack-footprint trade-off (`DESIGN.md` §5.6).
+//! slack-footprint trade-off.
 //!
-//! Run with `cargo run -p ddtr-bench --bin ablation_chunk --release`.
+//! Run with `cargo run -p ddtr_bench --bin ablation_chunk --release`.
 
 use ddtr_ddt::{ChunkedDdt, Ddt, TestRecord};
 use ddtr_mem::{MemoryConfig, MemorySystem};

@@ -1,9 +1,9 @@
 //! Ablation — **energy-model sensitivity**: the paper's conclusions rest
 //! on the *ordering* of DDT combinations, not on absolute CACTI joules.
 //! This harness perturbs the per-access energies and checks that the
-//! global Pareto front's membership is stable (`DESIGN.md` §5.6).
+//! global Pareto front's membership is stable.
 //!
-//! Run with `cargo run -p ddtr-bench --bin ablation_energy --release`.
+//! Run with `cargo run -p ddtr_bench --bin ablation_energy --release`.
 
 use ddtr_apps::{AppKind, AppParams};
 use ddtr_core::{all_combos, combo_label};
@@ -59,6 +59,6 @@ fn main() {
     }
     println!("\nShape check: even 16x shifts in the L1-to-backing energy ratio");
     println!("leave the front membership largely intact — the conclusions do not");
-    println!("hinge on the exact CACTI constants (DESIGN.md substitution table).");
+    println!("hinge on the exact CACTI constants.");
     let _ = DdtKind::ALL; // the ten kinds under test
 }

@@ -3,7 +3,7 @@
 //! the Deficit Round Robin scheduling application"). Sweep it and show how
 //! the best DDT combination and the cost metrics react.
 //!
-//! Run with `cargo run -p ddtr-bench --bin ablation_fairness --release`.
+//! Run with `cargo run -p ddtr_bench --bin ablation_fairness --release`.
 
 use ddtr_apps::{AppKind, AppParams};
 use ddtr_core::{all_combos, combo_label, Simulator};

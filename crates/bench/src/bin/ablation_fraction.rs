@@ -3,7 +3,7 @@
 //! Pareto front the methodology still recovers. This quantifies the paper's
 //! choice of keeping ~20 % of the combinations.
 //!
-//! Run with `cargo run -p ddtr-bench --bin ablation_fraction --release`.
+//! Run with `cargo run -p ddtr_bench --bin ablation_fraction --release`.
 
 use ddtr_apps::AppKind;
 use ddtr_core::{

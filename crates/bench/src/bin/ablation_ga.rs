@@ -3,7 +3,7 @@
 //! harness sweeps each knob on the DRR application and reports simulations
 //! used and true-front recall per setting, averaged over seeds.
 //!
-//! Run with `cargo run -p ddtr-bench --bin ablation_ga --release`.
+//! Run with `cargo run -p ddtr_bench --bin ablation_ga --release`.
 
 use ddtr_apps::{AppKind, AppParams};
 use ddtr_core::{all_combos, combo_label, explore_heuristic, GaConfig, Simulator};

@@ -1,8 +1,8 @@
 //! Ablation — **pruning fidelity**: does step 1's 80 % pruning ever drop a
 //! combination that exhaustive exploration would have placed on the final
-//! Pareto front? (`DESIGN.md` §5.6.)
+//! Pareto front?
 //!
-//! Run with `cargo run -p ddtr-bench --bin ablation_pruning --release`.
+//! Run with `cargo run -p ddtr_bench --bin ablation_pruning --release`.
 
 use ddtr_apps::AppKind;
 use ddtr_core::{

@@ -5,7 +5,7 @@
 //! cycle spread, validating that the methodology's rankings do not hinge
 //! on one replacement policy.
 //!
-//! Run with `cargo run -p ddtr-bench --bin ablation_replacement --release`.
+//! Run with `cargo run -p ddtr_bench --bin ablation_replacement --release`.
 
 use ddtr_apps::{AppKind, AppParams};
 use ddtr_core::{all_combos, combo_label};

@@ -1,8 +1,7 @@
 //! Ablation — **roving pointers**: quantify when the `(O)` variants pay
-//! off, sweeping the access pattern from fully sequential to fully random
-//! (`DESIGN.md` §5.6).
+//! off, sweeping the access pattern from fully sequential to fully random.
 //!
-//! Run with `cargo run -p ddtr-bench --bin ablation_rov --release`.
+//! Run with `cargo run -p ddtr_bench --bin ablation_rov --release`.
 
 use ddtr_ddt::{DdtKind, TestRecord};
 use ddtr_mem::{MemoryConfig, MemorySystem};

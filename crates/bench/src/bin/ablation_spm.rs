@@ -7,7 +7,7 @@
 //! (not a substitute for) DDT refinement: the ranking of combinations is
 //! preserved while every combination gets uniformly cheaper.
 //!
-//! Run with `cargo run -p ddtr-bench --bin ablation_spm --release`.
+//! Run with `cargo run -p ddtr_bench --bin ablation_spm --release`.
 
 use ddtr_apps::{AppKind, AppParams};
 use ddtr_core::{all_combos, combo_label};

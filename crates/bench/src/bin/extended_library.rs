@@ -4,7 +4,7 @@
 //! Pareto front. Key-search-heavy applications should adopt the hash/tree
 //! candidates; scan-heavy ones should not.
 //!
-//! Run with `cargo run -p ddtr-bench --bin extended_library --release`.
+//! Run with `cargo run -p ddtr_bench --bin extended_library --release`.
 
 use ddtr_apps::{AppKind, AppParams};
 use ddtr_core::{combo_label, combos_from, Simulator};

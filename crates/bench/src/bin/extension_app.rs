@@ -5,7 +5,7 @@
 //! runs on it unchanged and prints the Table-1/Table-2-style rows the
 //! paper would have reported.
 //!
-//! Run with `cargo run -p ddtr-bench --bin extension_app --release`.
+//! Run with `cargo run -p ddtr_bench --bin extension_app --release`.
 
 use ddtr_apps::AppKind;
 use ddtr_core::{headline_comparison, Methodology, MethodologyConfig};

@@ -2,7 +2,7 @@
 //! exploration space of URL (all 100 DDT combinations on one
 //! configuration) and (b) its Pareto-optimal points.
 //!
-//! Run with `cargo run -p ddtr-bench --bin fig3 --release`.
+//! Run with `cargo run -p ddtr_bench --bin fig3 --release`.
 
 use ddtr_apps::AppKind;
 use ddtr_core::{explore_application_level, MethodologyConfig};

@@ -5,7 +5,7 @@
 //! the same configuration, plus the §4 "factors versus non-Pareto points"
 //! comparison.
 //!
-//! Run with `cargo run -p ddtr-bench --bin fig4 --release`.
+//! Run with `cargo run -p ddtr_bench --bin fig4 --release`.
 
 use ddtr_apps::{AppKind, AppParams};
 use ddtr_bench::paper_outcome;

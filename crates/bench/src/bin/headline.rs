@@ -4,7 +4,7 @@
 //! by 20% and energy by 80%" for URL, and "energy savings 80% and increase
 //! in performance 22% (in average)" over all benchmarks.
 //!
-//! Run with `cargo run -p ddtr-bench --bin headline --release`.
+//! Run with `cargo run -p ddtr_bench --bin headline --release`.
 
 use ddtr_apps::AppKind;
 use ddtr_core::{headline_comparison, Methodology, MethodologyConfig};

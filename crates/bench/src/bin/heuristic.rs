@@ -9,7 +9,7 @@
 //! recovered, and the time–energy hypervolume ratio against the true
 //! front.
 //!
-//! Run with `cargo run -p ddtr-bench --bin heuristic --release`.
+//! Run with `cargo run -p ddtr_bench --bin heuristic --release`.
 
 use ddtr_apps::{AppKind, AppParams};
 use ddtr_core::{all_combos, combo_label, explore_heuristic, GaConfig, Simulator};

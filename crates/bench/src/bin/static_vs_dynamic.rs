@@ -7,7 +7,7 @@
 //! against the worst-case static allocation a compile-time design would
 //! reserve (every table at its configured maximum simultaneously).
 //!
-//! Run with `cargo run -p ddtr-bench --bin static_vs_dynamic --release`.
+//! Run with `cargo run -p ddtr_bench --bin static_vs_dynamic --release`.
 
 use ddtr_apps::{AppKind, AppParams};
 use ddtr_ddt::DdtKind;

@@ -1,7 +1,7 @@
 //! Regenerates **Table 1** of the paper: "Reduction of total simulations
 //! needed to explore the design space".
 //!
-//! Run with `cargo run -p ddtr-bench --bin table1 --release`.
+//! Run with `cargo run -p ddtr_bench --bin table1 --release`.
 
 use ddtr_apps::AppKind;
 use ddtr_bench::{paper_outcome, vs_paper, PAPER_TABLE1};

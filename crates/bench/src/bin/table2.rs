@@ -1,7 +1,7 @@
 //! Regenerates **Table 2** of the paper: "Trade-offs achieved among
 //! Pareto-optimal points".
 //!
-//! Run with `cargo run -p ddtr-bench --bin table2 --release`.
+//! Run with `cargo run -p ddtr_bench --bin table2 --release`.
 
 use ddtr_apps::AppKind;
 use ddtr_bench::{paper_outcome, vs_paper, PAPER_TABLE2};

@@ -10,7 +10,7 @@
 //! (SLL+SLL) implementation, and check that combination *rankings* are
 //! stable across seeds.
 //!
-//! Run with `cargo run -p ddtr-bench --bin variance --release`.
+//! Run with `cargo run -p ddtr_bench --bin variance --release`.
 
 use ddtr_apps::{AppKind, AppParams};
 use ddtr_core::Simulator;

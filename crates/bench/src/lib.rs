@@ -1,8 +1,9 @@
 //! Shared helpers for the table/figure harness binaries.
 //!
-//! Each binary under `src/bin/` regenerates one table or figure of the
-//! paper (see `EXPERIMENTS.md` at the workspace root for the mapping and
-//! the recorded paper-vs-measured comparison):
+//! Each binary under `src/bin/` but two regenerates one table or figure of
+//! the paper, or runs one ablation or extension study, and prints it as
+//! markdown; the table binaries print each paper-reported value beside
+//! the measured one ([`vs_paper`]):
 //!
 //! | binary | reproduces |
 //! |---|---|
@@ -27,6 +28,13 @@
 //! | `heuristic` | NSGA-II heuristic exploration vs exhaustive step 1 |
 //! | `extended_library` | 12-kind extended candidate set vs the paper's 10 |
 //! | `extension_app` | full pipeline on the NAT gateway (fifth application) |
+//!
+//! The other two back CI gates rather than a paper result:
+//!
+//! | binary | gate |
+//! |---|---|
+//! | `obs_overhead` | exits non-zero unless a recording quick explore stays within 5% of one with `ddtr_obs` off |
+//! | `stream_smoke` | prints wall time and peak RSS of one streamed DRR simulation; CI requires equal peak RSS at 100k and 1M packets |
 
 use ddtr_apps::AppKind;
 use ddtr_core::{ExploreError, Methodology, MethodologyConfig, MethodologyOutcome};

@@ -35,10 +35,7 @@
 //!
 //! `profile` resolves the same spec and profiles its configuration.
 //! `JobSpec::resolve` alone rejects a spec flag the mode does not take
-//! (`--seed` on `explore`). `--stream` is accepted and ignored: the
-//! engine itself decides whether a workload is generated once per batch
-//! or streamed into each simulation (see
-//! `ddtr_engine::MATERIALIZE_MAX_PACKETS`).
+//! (`--seed` on `explore`).
 //!
 //! Every subcommand rejects flags it does not take and stray
 //! positionals; the application may come before or after the flags.
@@ -119,7 +116,7 @@ usage:
                [--rate-limit N] [--max-request-bytes N]
                [--daemon] [--pid-file <path>] [--jobs N] [--cache-dir <dir>] [--no-cache]
   ddtr query   <tcp:<addr>|unix:<path>> <explore|ga|scenarios|sweep|headline|metrics> [app]
-               [--quick] [--extended] [--stream] [--base <preset>] [--packets N]
+               [--quick] [--extended] [--base <preset>] [--packets N]
                [--seed N] [--stall N] [--scenario <name>]... [--mem <preset>[,...]]
                [--id ID] [--json] [--quiet]
   ddtr loadtest <tcp:<addr>|unix:<path>> [--clients N] [--pings N] [--explores N]
@@ -137,10 +134,9 @@ engine flags (simulating subcommands):
 
 Every subcommand rejects flags it does not take; a spec flag its mode
 does not take (`--seed` on explore) is rejected like that field in a
-`ddtr query`. --stream is accepted and ignored (the engine picks how
-packets reach the simulator). `ddtr scenarios` runs the app x scenario
-matrix (baseline, bursty, flash-crowd, ddos-syn, phase-shift) over the
-base network.
+`ddtr query`. `ddtr scenarios` runs the app x scenario matrix
+(baseline, bursty, flash-crowd, ddos-syn, phase-shift) over the base
+network.
 
 --mem picks the platform from the memory-hierarchy catalog (`ddtr
 mem-presets` lists it). `ddtr sweep` takes a comma-separated list and
@@ -200,7 +196,7 @@ const SPEC_FLAGS: FlagRow = FlagRow {
         "--scenario",
         FLAG_MEM,
     ],
-    switches: &["--quick", "--extended", "--stream"],
+    switches: &["--quick", "--extended"],
 };
 
 /// The output flags of `ddtr query`.
@@ -350,7 +346,6 @@ fn job_spec(args: &Args, cmd: &str, mode: Option<&str>) -> Result<JobSpec, Strin
         app: app.map(str::to_string),
         quick: args.has("--quick"),
         extended: args.has("--extended"),
-        stream: args.has("--stream"),
         base: args.value("--base").map(str::to_string),
         scenarios: (!scenarios.is_empty()).then_some(scenarios),
         packets: args.parse("--packets", "packet count")?,
@@ -1338,20 +1333,6 @@ mod tests {
     }
 
     #[test]
-    fn stream_flag_is_an_accepted_no_op() {
-        let parse = |list: &[&str]| {
-            let binding = args(list);
-            let rest: Vec<&String> = binding.iter().collect();
-            let (_, cfg) = parse_app(&rest, "explore").expect("parses");
-            serde_json::to_string(&cfg).expect("ser")
-        };
-        assert_eq!(
-            parse(&["drr", "--quick", "--stream"]),
-            parse(&["drr", "--quick"])
-        );
-    }
-
-    #[test]
     fn app_subcommands_take_the_application_after_flags() {
         let binding = args(&["--quick", "--mem", "l2", "url"]);
         let rest: Vec<&String> = binding.iter().collect();
@@ -1366,6 +1347,7 @@ mod tests {
         for (list, needle) in [
             (&["ga", "drr", "--quick", "--stal", "2"][..], "--stal"),
             (&["explore", "drr", "url", "--frobnicate"], "--frobnicate"),
+            (&["explore", "drr", "--quick", "--stream"], "--stream"),
             (
                 &["explore", "drr", "url", "--quick"],
                 "at most one application",

@@ -7,8 +7,8 @@
 //! research line). This module provides the standard multi-objective
 //! answer: a seeded, deterministic NSGA-II over combination genomes that
 //! recovers (most of) the step-1 Pareto front from a fraction of the
-//! simulations. The `heuristic` bench quantifies the trade
-//! (`cargo run -p ddtr-bench --bin heuristic --release`).
+//! simulations. The `heuristic` binary quantifies the trade
+//! (`cargo run -p ddtr_bench --bin heuristic --release`).
 
 use crate::error::ExploreError;
 use ddtr_apps::{AppKind, AppParams, DOMINANT_SLOTS_PER_APP};

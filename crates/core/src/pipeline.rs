@@ -32,14 +32,16 @@ impl SimCounts {
     }
 }
 
-/// How the execution engine served one pipeline run.
+/// How the execution engine served one pipeline run, counted by the
+/// engine's own [`ddtr_engine::BatchControl`], so work that other engines
+/// sharing its cache do meanwhile is not included.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EngineReport {
     /// Worker threads the engine's batches ran on.
     pub jobs: usize,
-    /// Simulations answered from the result cache.
+    /// Simulations of this run answered from the result cache.
     pub cache_hits: usize,
-    /// Simulations actually executed.
+    /// Simulations this run actually executed.
     pub executed: usize,
 }
 
@@ -121,7 +123,9 @@ impl Methodology {
     /// receives unusable input.
     pub fn run_with(&self, engine: &mut ExploreEngine) -> Result<MethodologyOutcome, ExploreError> {
         self.config.validate()?;
-        let before = engine.stats();
+        // The engine's own control, not the cache's counters: the cache may
+        // be shared with other engines of a session that run meanwhile.
+        let before = engine.control().progress();
         let profile = {
             let _span = ddtr_obs::Span::enter("core.profile");
             profile_application(&self.config)?
@@ -143,11 +147,11 @@ impl Methodology {
             reduced: step1.measurements.len() + step2.simulations(),
             pareto_optimal: pareto.global_front.len(),
         };
-        let after = engine.stats();
+        let after = engine.control().progress();
         let engine_report = EngineReport {
             jobs: engine.jobs(),
             cache_hits: after.hits - before.hits,
-            executed: after.misses - before.misses,
+            executed: after.executed - before.executed,
         };
         Ok(MethodologyOutcome {
             config: self.config.clone(),
@@ -181,7 +185,7 @@ mod tests {
         // The reduction against exhaustive exploration is substantial.
         // Quick mode has 2 configurations: exhaustive = 200, reduced =
         // 100 + survivors*2, so ~0.3 is the expected ballpark. The paper
-        // -sized sweeps (benches) reach ~80%.
+        // -sized sweeps (the `table1` binary) reach ~80%.
         assert!(
             outcome.counts.reduction() > 0.25,
             "reduction {:.2}",
@@ -211,6 +215,50 @@ mod tests {
             serde_json::to_string(&o.pareto.global_front).expect("serialise")
         };
         assert_eq!(front(&cold), front(&warm), "byte-identical Pareto front");
+    }
+
+    #[test]
+    fn engine_report_counts_only_this_run_on_a_shared_session() {
+        use ddtr_engine::{BatchControl, EngineConfig, EngineSession};
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Arc;
+
+        let run = |app, engine: &mut ExploreEngine| {
+            Methodology::new(MethodologyConfig::quick(app))
+                .run_with(engine)
+                .expect("pipeline")
+        };
+        let solo = run(AppKind::Drr, &mut ExploreEngine::in_memory());
+        // Mid-run, this run's observer runs a URL explore on a second
+        // engine of the same session, as a serve worker's concurrent
+        // request would; its work lands in the shared cache's counters.
+        let session = Arc::new(EngineSession::new(EngineConfig::with_jobs(2)).expect("session"));
+        let interleaved = Arc::new(AtomicBool::new(false));
+        let control = BatchControl::observed({
+            let (session, interleaved) = (Arc::clone(&session), Arc::clone(&interleaved));
+            move |_| {
+                if !interleaved.swap(true, Ordering::SeqCst) {
+                    run(AppKind::Url, &mut session.engine());
+                }
+            }
+        });
+        let shared = run(AppKind::Drr, &mut session.engine_with(control.clone()));
+        let progress = control.progress();
+        assert!(interleaved.load(Ordering::SeqCst), "the URL explore ran");
+        assert!(
+            session.stats().misses > progress.executed,
+            "the URL explore executed on the shared cache"
+        );
+        assert_eq!(
+            (shared.engine.executed, shared.engine.cache_hits),
+            (progress.executed, progress.hits),
+            "the report agrees with the run's own control"
+        );
+        assert_eq!(
+            (shared.engine.executed, shared.engine.cache_hits),
+            (solo.engine.executed, solo.engine.cache_hits),
+            "the report matches a run with the engine to itself"
+        );
     }
 
     #[test]

@@ -49,7 +49,7 @@ impl std::error::Error for AllocError {}
 ///
 /// The DATE 2006 framework's dynamic memory manager is itself a design
 /// dimension in follow-up work of the same group; this knob lets the
-/// ablation benches check that DDT rankings are robust against the
+/// `ablation_alloc` binary check that DDT rankings are robust against the
 /// allocator the platform middleware happens to use.
 ///
 /// # Example

@@ -12,7 +12,8 @@
 //! which matches the published ratios the methodology relies on. Absolute
 //! joule values are *not* meaningful — only the ordering of DDT
 //! implementations is, and any monotone capacity-dependent model preserves
-//! it (see `DESIGN.md`, substitution table).
+//! it. The `ablation_energy` binary of `ddtr_bench` checks that the Pareto
+//! fronts survive large perturbations of these constants.
 
 use crate::config::{CacheConfig, DramConfig};
 use serde::{Deserialize, Serialize};

@@ -2,9 +2,8 @@
 //! `ddtr query`, `ddtr loadtest` and the integration tests.
 //!
 //! [`Client::connect`] is the raw transport (connect, speak lines);
-//! [`ClientBuilder`] layers the fleet-era niceties on top: the versioned
-//! `Hello` handshake with an auth token, connect retries with backoff,
-//! and socket timeouts.
+//! [`ClientBuilder`] layers the fleet-era niceties on top: connect
+//! retries and the versioned `Hello` handshake with an auth token.
 
 use crate::endpoint::Endpoint;
 use crate::protocol::{ErrorCode, Event, Request, RequestBody, PROTOCOL_VERSION};
@@ -57,9 +56,9 @@ impl From<io::Error> for ClientError {
     }
 }
 
-/// A typed builder for fleet-era connections: auth token, timeouts and
-/// connect retries around [`Client::connect`], plus the versioned
-/// `Hello`/`Welcome` handshake.
+/// A typed builder for fleet-era connections: connect retries around
+/// [`Client::connect`], then the versioned `Hello`/`Welcome` handshake
+/// with an optional auth token.
 ///
 /// ```no_run
 /// use ddtr_serve::{Client, Endpoint};
@@ -68,7 +67,6 @@ impl From<io::Error> for ClientError {
 /// let endpoint: Endpoint = "tcp:127.0.0.1:7171".parse().unwrap();
 /// let client = Client::builder(endpoint)
 ///     .auth_token("sesame")
-///     .read_timeout(Duration::from_secs(30))
 ///     .retry_connect(5, Duration::from_millis(100))
 ///     .connect();
 /// ```
@@ -76,24 +74,17 @@ impl From<io::Error> for ClientError {
 pub struct ClientBuilder {
     endpoint: Endpoint,
     auth: Option<String>,
-    capabilities: Vec<String>,
-    handshake: bool,
-    read_timeout: Option<Duration>,
     retries: u32,
     retry_delay: Duration,
 }
 
 impl ClientBuilder {
-    /// A builder for `endpoint` with no auth, no timeouts, no retries
-    /// and the handshake enabled.
+    /// A builder for `endpoint` with no auth and no retries.
     #[must_use]
     pub fn new(endpoint: Endpoint) -> Self {
         ClientBuilder {
             endpoint,
             auth: None,
-            capabilities: Vec::new(),
-            handshake: true,
-            read_timeout: None,
             retries: 0,
             retry_delay: Duration::from_millis(50),
         }
@@ -104,30 +95,6 @@ impl ClientBuilder {
     #[must_use]
     pub fn auth_token(mut self, token: impl Into<String>) -> Self {
         self.auth = Some(token.into());
-        self
-    }
-
-    /// Announces client capability names in the handshake
-    /// (informational).
-    #[must_use]
-    pub fn capabilities(mut self, capabilities: Vec<String>) -> Self {
-        self.capabilities = capabilities;
-        self
-    }
-
-    /// Skips the `Hello`/`Welcome` handshake entirely (v1 behaviour;
-    /// only works against servers without an auth token).
-    #[must_use]
-    pub fn no_handshake(mut self) -> Self {
-        self.handshake = false;
-        self
-    }
-
-    /// Fails reads that stall longer than `timeout` (socket endpoints
-    /// only).
-    #[must_use]
-    pub fn read_timeout(mut self, timeout: Duration) -> Self {
-        self.read_timeout = Some(timeout);
         self
     }
 
@@ -142,9 +109,8 @@ impl ClientBuilder {
         self
     }
 
-    /// Connects (with retries), applies socket options, and — unless
-    /// [`ClientBuilder::no_handshake`] — performs the versioned
-    /// handshake, returning the ready-to-use client.
+    /// Connects (with retries) and performs the versioned handshake,
+    /// returning the ready-to-use client.
     ///
     /// # Errors
     ///
@@ -155,7 +121,7 @@ impl ClientBuilder {
     pub fn connect(self) -> Result<Client, ClientError> {
         let mut attempt = 0;
         let mut client = loop {
-            match self.connect_once() {
+            match Client::connect(&self.endpoint) {
                 Ok(client) => break client,
                 Err(e) => {
                     if attempt >= self.retries {
@@ -166,32 +132,8 @@ impl ClientBuilder {
                 }
             }
         };
-        if self.handshake {
-            client.handshake(self.auth.clone(), self.capabilities.clone())?;
-        }
+        client.handshake(self.auth)?;
         Ok(client)
-    }
-
-    /// One transport-level connect with socket options applied.
-    fn connect_once(&self) -> io::Result<Client> {
-        match &self.endpoint {
-            Endpoint::Tcp(addr) => {
-                let stream = TcpStream::connect(addr.as_str())?;
-                // One small request line waiting on one small reply line
-                // is the worst case for Nagle + delayed ACK (tens of ms
-                // per round trip); send request lines immediately.
-                let _ = stream.set_nodelay(true);
-                stream.set_read_timeout(self.read_timeout)?;
-                Ok(Client::over(BufReader::new(stream.try_clone()?), stream))
-            }
-            #[cfg(unix)]
-            Endpoint::Unix(path) => {
-                let stream = std::os::unix::net::UnixStream::connect(path)?;
-                stream.set_read_timeout(self.read_timeout)?;
-                Ok(Client::over(BufReader::new(stream.try_clone()?), stream))
-            }
-            _ => Client::connect(&self.endpoint),
-        }
     }
 }
 
@@ -200,7 +142,7 @@ impl ClientBuilder {
 /// The client is deliberately dumb: it writes [`Request`] lines and reads
 /// [`Event`] lines; [`Client::call`] layers the one pattern everything
 /// uses — send a request, stream its events, return its terminal event.
-/// [`Client::builder`] adds the fleet handshake, retries and timeouts.
+/// [`Client::builder`] adds connect retries and the fleet handshake.
 pub struct Client {
     reader: Box<dyn BufRead + Send>,
     writer: Box<dyn Write + Send>,
@@ -215,8 +157,8 @@ impl std::fmt::Debug for Client {
 }
 
 impl Client {
-    /// A typed builder around `endpoint`: auth, timeouts, retries and
-    /// the versioned handshake.
+    /// A typed builder around `endpoint`: connect retries and the
+    /// versioned handshake with an optional auth token.
     #[must_use]
     pub fn builder(endpoint: Endpoint) -> ClientBuilder {
         ClientBuilder::new(endpoint)
@@ -236,7 +178,9 @@ impl Client {
             )),
             Endpoint::Tcp(addr) => {
                 let stream = TcpStream::connect(addr.as_str())?;
-                // See ClientBuilder::connect_once on Nagle.
+                // One small request line waiting on one small reply line
+                // is the worst case for Nagle + delayed ACK (tens of ms
+                // per round trip); send request lines immediately.
                 let _ = stream.set_nodelay(true);
                 Ok(Self::over(BufReader::new(stream.try_clone()?), stream))
             }
@@ -275,17 +219,14 @@ impl Client {
     }
 
     /// Performs the versioned `Hello`/`Welcome` handshake on an open
-    /// connection.
+    /// connection, presenting `auth` when given. The `Hello` announces no
+    /// client capabilities.
     ///
     /// # Errors
     ///
     /// [`ClientError::Rejected`] when the server answers with an
     /// `Error`, [`ClientError::Closed`] on EOF mid-handshake.
-    pub fn handshake(
-        &mut self,
-        auth: Option<String>,
-        capabilities: Vec<String>,
-    ) -> Result<(), ClientError> {
+    pub fn handshake(&mut self, auth: Option<String>) -> Result<(), ClientError> {
         self.handshakes += 1;
         let id = format!("hello-{}", self.handshakes);
         let request = Request::new(
@@ -293,7 +234,7 @@ impl Client {
             RequestBody::Hello {
                 proto_version: PROTOCOL_VERSION,
                 auth,
-                capabilities,
+                capabilities: Vec::new(),
             },
         );
         let reply = self.call(&request, |_| {})?;

@@ -27,8 +27,8 @@
 //!   connection slots, per-connection rate and in-flight limits, and a
 //!   request-size ceiling — every violation a structured coded error.
 //! * [`Client`] — the blocking client behind `ddtr query` and the
-//!   integration tests, with [`ClientBuilder`] layering the versioned
-//!   handshake, auth, timeouts and connect retries on top.
+//!   integration tests, with [`ClientBuilder`] layering connect retries
+//!   and the versioned handshake with auth on top.
 //! * [`loadtest`] — the concurrent load harness behind `ddtr loadtest`.
 //!
 //! See `docs/PROTOCOL.md` for the full wire schema with a worked

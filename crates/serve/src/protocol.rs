@@ -257,9 +257,7 @@ pub enum RequestBody {
 /// selects the reduced configuration; `extended` widens the DDT candidate
 /// set; `mem` names platform presets from the [`MemoryPreset`] catalog
 /// (one for the single-platform modes, the platform axis for `sweep`).
-/// `stream` is accepted in every mode and changes nothing: the engine
-/// decides how packets reach the simulator. Other fields that do not
-/// apply to the chosen mode are rejected, not ignored.
+/// Fields that do not apply to the chosen mode are rejected, not ignored.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct JobSpec {
     /// Full inline configuration; when present every preset field must be
@@ -280,10 +278,6 @@ pub struct JobSpec {
     /// Explore the extended 12-kind DDT library (`--extended`).
     #[serde(default)]
     pub extended: bool,
-    /// Accepted for wire compatibility with no effect (`--stream`): every
-    /// mode resolves to the same request with or without it.
-    #[serde(default)]
-    pub stream: bool,
     /// Base network preset (`scenarios`/`sweep` only; default `BWY-I`).
     #[serde(default)]
     pub base: Option<String>,
@@ -811,39 +805,6 @@ mod tests {
         };
         assert_eq!(cfg.candidates.len(), 12, "--extended");
         assert_eq!(cfg.networks.len(), 2, "--quick");
-    }
-
-    #[test]
-    fn stream_flag_resolves_to_the_identical_request_and_worker() {
-        for (mode, app) in [
-            ("explore", Some("drr")),
-            ("headline", Some("url")),
-            ("ga", Some("nat")),
-            ("scenarios", Some("drr")),
-            ("sweep", None),
-        ] {
-            let resolve = |stream: bool| {
-                let spec = JobSpec {
-                    quick: true,
-                    stream,
-                    ..JobSpec::preset(mode, app)
-                };
-                spec.resolve().expect("resolves")
-            };
-            let (plain, streamed) = (resolve(false), resolve(true));
-            assert_eq!(
-                serde_json::to_string(&streamed).expect("ser"),
-                serde_json::to_string(&plain).expect("ser"),
-                "{mode}: `stream` must not change the request"
-            );
-            for workers in [2, 3, 8] {
-                assert_eq!(
-                    crate::route_worker(&streamed, workers),
-                    crate::route_worker(&plain, workers),
-                    "{mode}: `stream` must not change the worker"
-                );
-            }
-        }
     }
 
     #[test]

@@ -1026,44 +1026,3 @@ fn multi_worker_fleet_routes_deterministically_and_answers_warm() {
     assert!(*cache_hits > 0);
     assert_eq!(front_of(&reply_cold), front_of(&reply_warm));
 }
-
-#[test]
-fn stream_flag_repeat_of_a_quick_explore_answers_warm_on_a_fleet() {
-    // `stream` is a no-op on the wire: the repeat resolves to the same
-    // request, routes to the same worker and hits its in-memory cache.
-    let server = Server::with_config(ServerConfig {
-        workers: 3,
-        ..ServerConfig::new(EngineConfig::with_jobs(2))
-    })
-    .expect("server");
-    let streamed = JobSpec {
-        stream: true,
-        ..quick_explore_spec()
-    };
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let endpoint = Endpoint::Tcp(listener.local_addr().expect("addr").to_string());
-    let (reply_cold, reply_warm) = std::thread::scope(|scope| {
-        let server = &server;
-        scope.spawn(move || server.serve_tcp(&listener).expect("serve"));
-        let mut client = Client::connect(&endpoint).expect("connect");
-        let reply_cold = client
-            .call(&Request::run("plain", quick_explore_spec()), |_| {})
-            .expect("plain call");
-        let reply_warm = client
-            .call(&Request::run("streamed", streamed), |_| {})
-            .expect("streamed call");
-        client
-            .send(&Request::new("bye", RequestBody::Shutdown))
-            .expect("shutdown");
-        (reply_cold, reply_warm)
-    });
-    let Event::Result { executed, .. } = &reply_cold else {
-        panic!("plain request must succeed: {reply_cold:?}");
-    };
-    assert!(*executed > 0, "cold request simulates");
-    let Event::Result { executed, .. } = &reply_warm else {
-        panic!("streamed request must succeed: {reply_warm:?}");
-    };
-    assert_eq!(*executed, 0, "the `stream: true` repeat executes nothing");
-    assert_eq!(front_of(&reply_cold), front_of(&reply_warm));
-}

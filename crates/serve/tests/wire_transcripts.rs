@@ -35,6 +35,9 @@ const RETIRED: &[&str] = &[
     // `MethodologyConfig` and `GaConfig` lost `streaming` when every mode
     // came to describe its networks as stream specs.
     "streaming",
+    // `JobSpec.stream` (`--stream`) went the same way: the engine alone
+    // decides whether a batch generates its packets once or streams them.
+    "stream",
 ];
 
 /// `(1-based line number, line)` for every line of a transcript.

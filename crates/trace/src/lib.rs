@@ -4,7 +4,8 @@
 //! ten packet traces from eight real networks — three NLANR backbone/campus
 //! measurement points and five Dartmouth campus wireless buildings. Those
 //! raw traces are not redistributable, so this crate provides the closest
-//! synthetic equivalent (see `DESIGN.md`, substitution table):
+//! synthetic equivalent, driven by the same network parameters the paper
+//! extracts and step 2 varies:
 //!
 //! * [`TraceSpec`] — the *network parameters* the paper's Perl tool
 //!   extracts from raw traces (node count, throughput, packet-size mixture,
