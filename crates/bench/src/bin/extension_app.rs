@@ -15,7 +15,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("(5 networks x 2 pool sizes, paper-sized traces)\n");
 
     let cfg = MethodologyConfig::paper(AppKind::Nat);
-    let outcome = Methodology::new(cfg.clone()).run()?;
+    let mut engine = cfg.default_engine();
+    let outcome = Methodology::new(cfg.clone()).run_with(&mut engine)?;
 
     // The Table-1 row the paper would print for NAT.
     println!(
@@ -48,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  {:20} {}", p.combo, p.report);
     }
 
-    let headline = headline_comparison(&cfg, &outcome)?;
+    let headline = headline_comparison(&mut engine, &cfg, &outcome)?;
     println!(
         "\nversus the all-SLL baseline implementation: {:.0}% energy saving, {:.0}% faster",
         headline.energy_saving() * 100.0,

@@ -15,8 +15,11 @@ fn main() {
     let mut time_improvements = Vec::new();
     for app in AppKind::ALL {
         let cfg = MethodologyConfig::paper(app);
-        let outcome = Methodology::new(cfg.clone()).run().expect("pipeline runs");
-        let h = headline_comparison(&cfg, &outcome).expect("headline computes");
+        let mut engine = cfg.default_engine();
+        let outcome = Methodology::new(cfg.clone())
+            .run_with(&mut engine)
+            .expect("pipeline runs");
+        let h = headline_comparison(&mut engine, &cfg, &outcome).expect("headline computes");
         println!("{app}:");
         println!(
             "  best-energy point {:20} energy saving {:>5.1}%  access cut {:>5.1}%  footprint cut {:>6.1}%",

@@ -395,23 +395,27 @@ fn local_request<'a>(
 /// Runs `request` through [`dispatch_observed`] on the engine the engine
 /// flags build, as a serve worker does (`on_cell` sees each completed
 /// cell of a sweep), and writes the `--trace-json` file. Returns the
-/// typed result and the run's engine line.
+/// typed result and the engine it ran on.
 fn dispatch_local(
     args: &Args,
     request: &ExploreRequest,
     on_cell: impl FnMut(&SweepCell, usize, usize),
-) -> Result<(ExploreResult, String), String> {
+) -> Result<(ExploreResult, ExploreEngine), String> {
     let mut engine = ExploreEngine::new(engine_config_from(args)?).map_err(|e| e.to_string())?;
     let result = dispatch_observed(&mut engine, request, on_cell).map_err(|e| e.to_string())?;
     write_trace_if_requested(args)?;
+    Ok((result, engine))
+}
+
+/// The `engine:` accounting line a simulating subcommand ends with.
+fn engine_line(engine: &ExploreEngine) -> String {
     let stats = engine.stats();
-    let engine_line = format!(
+    format!(
         "engine: jobs={} cache_hits={} executed={}",
         engine.jobs(),
         stats.hits,
         stats.misses
-    );
-    Ok((result, engine_line))
+    )
 }
 
 /// The cache directory a command addresses: `--cache-dir` or the default.
@@ -474,13 +478,13 @@ fn pipeline<'a>(
     rest: &[&'a String],
     cmd: &str,
     rows: &[&FlagRow],
-) -> Result<(Args<'a>, MethodologyOutcome, String), String> {
+) -> Result<(Args<'a>, MethodologyOutcome, ExploreEngine), String> {
     let (args, request) = local_request(rest, cmd, "explore", rows)?;
-    let (result, engine_line) = dispatch_local(&args, &request, |_, _, _| {})?;
+    let (result, engine) = dispatch_local(&args, &request, |_, _, _| {})?;
     let ExploreResult::Explore(outcome) = result else {
         unreachable!("explore requests produce explore results");
     };
-    Ok((args, outcome, engine_line))
+    Ok((args, outcome, engine))
 }
 
 fn explore(rest: &[&String]) -> Result<(), String> {
@@ -488,7 +492,7 @@ fn explore(rest: &[&String]) -> Result<(), String> {
         values: &["--logs"],
         switches: &["--json"],
     };
-    let (args, outcome, engine_line) =
+    let (args, outcome, engine) =
         pipeline(rest, "explore", &[&SPEC_FLAGS, &ENGINE_FLAGS, &output])?;
     if let Some(path) = args.value("--logs") {
         let file = std::fs::File::create(path).map_err(|e| e.to_string())?;
@@ -528,7 +532,7 @@ fn explore(rest: &[&String]) -> Result<(), String> {
         outcome.counts.exhaustive,
         outcome.counts.reduction() * 100.0
     );
-    println!("{engine_line}");
+    println!("{}", engine_line(&engine));
     Ok(())
 }
 
@@ -551,10 +555,11 @@ fn pareto(rest: &[&String]) -> Result<(), String> {
 }
 
 fn report(rest: &[&String]) -> Result<(), String> {
-    let (_, outcome, _) = pipeline(rest, "report", &[&SPEC_FLAGS, &ENGINE_FLAGS])?;
+    let (_, outcome, mut engine) = pipeline(rest, "report", &[&SPEC_FLAGS, &ENGINE_FLAGS])?;
     println!("{}", table1_markdown(&[&outcome]));
     println!("{}", table2_markdown(&[&outcome]));
-    let headline = headline_comparison(&outcome.config, &outcome).map_err(|e| e.to_string())?;
+    let headline =
+        headline_comparison(&mut engine, &outcome.config, &outcome).map_err(|e| e.to_string())?;
     println!(
         "# headline vs original ({}, both dominant DDTs = SLL)",
         outcome.config.app
@@ -638,7 +643,7 @@ fn replay(rest: &[&String]) -> Result<(), String> {
 
 fn ga(rest: &[&String]) -> Result<(), String> {
     let (args, request) = local_request(rest, "ga", "ga", &[&SPEC_FLAGS, &ENGINE_FLAGS])?;
-    let (result, engine_line) = dispatch_local(&args, &request, |_, _, _| {})?;
+    let (result, engine) = dispatch_local(&args, &request, |_, _, _| {})?;
     let (ExploreRequest::Ga(cfg), ExploreResult::Ga(outcome)) = (&request, result) else {
         unreachable!("ga requests produce ga results");
     };
@@ -665,7 +670,7 @@ fn ga(rest: &[&String]) -> Result<(), String> {
     for log in &outcome.front {
         println!("  {:20} {}", log.combo, log.report);
     }
-    println!("{engine_line}");
+    println!("{}", engine_line(&engine));
     Ok(())
 }
 
@@ -676,7 +681,7 @@ fn scenarios(rest: &[&String]) -> Result<(), String> {
         "scenarios",
         &[&SPEC_FLAGS, &ENGINE_FLAGS],
     )?;
-    let (result, engine_line) = dispatch_local(&args, &request, |_, _, _| {})?;
+    let (result, engine) = dispatch_local(&args, &request, |_, _, _| {})?;
     let ExploreResult::Scenarios(matrix) = result else {
         unreachable!("scenarios requests produce scenario matrices");
     };
@@ -722,7 +727,7 @@ fn scenarios(rest: &[&String]) -> Result<(), String> {
             );
         }
     }
-    println!("\n{engine_line}");
+    println!("\n{}", engine_line(&engine));
     Ok(())
 }
 
@@ -740,7 +745,7 @@ fn sweep(rest: &[&String]) -> Result<(), String> {
         cfg.packets_per_sim
     );
     // Cells print as they complete — the sweep streams on the CLI too.
-    let (result, engine_line) = dispatch_local(&args, &request, |cell, done, total| {
+    let (result, engine) = dispatch_local(&args, &request, |cell, done, total| {
         println!(
             "\n== [{done}/{total}] {} under {} on {} ({}) ==",
             cell.app, cell.scenario, cell.mem, cell.network
@@ -777,7 +782,7 @@ fn sweep(rest: &[&String]) -> Result<(), String> {
         robust.len(),
         matrix.survivors.len()
     );
-    println!("\n{engine_line}");
+    println!("\n{}", engine_line(&engine));
     Ok(())
 }
 

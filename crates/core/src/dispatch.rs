@@ -190,7 +190,7 @@ pub fn dispatch_with(
         ExploreRequest::Sweep(cfg) => explore_sweep_with(engine, cfg).map(ExploreResult::Sweep),
         ExploreRequest::Headline(cfg) => {
             let outcome = Methodology::new(cfg.clone()).run_with(engine)?;
-            headline_comparison(cfg, &outcome).map(ExploreResult::Headline)
+            headline_comparison(engine, cfg, &outcome).map(ExploreResult::Headline)
         }
     }
 }
@@ -276,7 +276,7 @@ mod tests {
     fn sweep_dispatch_matches_the_direct_entry_point_and_observes_cells() {
         let mut cfg = SweepConfig::quick(NetworkPreset::DartmouthBerry);
         cfg.packets_per_sim = 40;
-        let direct = crate::sweep::explore_sweep(&cfg).expect("direct");
+        let direct = explore_sweep_with(&mut ExploreEngine::in_memory(), &cfg).expect("direct");
         let mut cells_seen = 0;
         let via = dispatch_observed(
             &mut ExploreEngine::in_memory(),

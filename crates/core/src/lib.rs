@@ -75,14 +75,12 @@ pub use pipeline::{EngineReport, Methodology, MethodologyOutcome, SimCounts};
 pub use profile::{profile_application, ProfileReport};
 pub use report::{
     render_pareto_chart, table1_markdown, table2_markdown, tradeoff_percentages, ParetoChartPlane,
+    PAPER_TABLE1, PAPER_TABLE2,
 };
-pub use scenarios::{
-    explore_scenarios, explore_scenarios_with, ScenarioCell, ScenarioConfig, ScenarioMatrix,
-};
+pub use scenarios::{explore_scenarios_with, ScenarioCell, ScenarioConfig, ScenarioMatrix};
 pub use step1::{explore_application_level, explore_application_level_with, Step1Result};
 pub use step2::{explore_network_level, explore_network_level_with, NetworkConfig, Step2Result};
 pub use step3::{explore_pareto_level, ConfigFront, ParetoPoint, ParetoReport};
 pub use sweep::{
-    explore_sweep, explore_sweep_observed, explore_sweep_with, SweepCell, SweepConfig, SweepMatrix,
-    SweepSurvivor,
+    explore_sweep_observed, explore_sweep_with, SweepCell, SweepConfig, SweepMatrix, SweepSurvivor,
 };

@@ -76,7 +76,7 @@ pub struct MethodologyOutcome {
 ///
 /// let outcome = Methodology::new(MethodologyConfig::quick(AppKind::Url)).run()?;
 /// // quick mode uses only two network configurations, so the
-/// // reduction is modest; the paper-sized sweeps reach ~80%.
+/// // reduction is modest; the paper-sized sweeps reach 60-75%.
 /// assert!(outcome.counts.reduction() > 0.2);
 /// # Ok::<(), ddtr_core::ExploreError>(())
 /// ```
@@ -184,8 +184,8 @@ mod tests {
         );
         // The reduction against exhaustive exploration is substantial.
         // Quick mode has 2 configurations: exhaustive = 200, reduced =
-        // 100 + survivors*2, so ~0.3 is the expected ballpark. The paper
-        // -sized sweeps (the `table1` binary) reach ~80%.
+        // 100 + survivors*2, so ~0.3 is the expected ballpark. The
+        // paper-sized sweeps reach 60-75% (Table 1 in REPRODUCTION.md).
         assert!(
             outcome.counts.reduction() > 0.25,
             "reduction {:.2}",

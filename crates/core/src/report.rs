@@ -1,9 +1,10 @@
 //! Report formatting: the paper's tables and figure data.
 
 use crate::pipeline::MethodologyOutcome;
+use ddtr_apps::AppKind;
 use ddtr_engine::SimLog;
 use ddtr_pareto::ScatterChart;
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
 
 /// Which 2-D plane of the four metrics a chart shows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,19 +53,53 @@ pub fn render_pareto_chart(logs: &[&SimLog], plane: ParetoChartPlane) -> String 
     ScatterChart::new(xl, yl).render(&points)
 }
 
-/// One row of the paper's Table 1 ("Reduction of total simulations needed
-/// to explore the design space") in Markdown.
+/// The paper's Table 1 per application: exhaustive simulations, reduced
+/// simulations and Pareto-optimal points.
+pub const PAPER_TABLE1: [(AppKind, [usize; 3]); 4] = [
+    (AppKind::Route, [1400, 271, 7]),
+    (AppKind::Url, [500, 110, 4]),
+    (AppKind::Ipchains, [2100, 546, 6]),
+    (AppKind::Drr, [500, 60, 3]),
+];
+
+/// The paper's Table 2 per application: energy, time, accesses and
+/// footprint trade-offs in percent.
+pub const PAPER_TABLE2: [(AppKind, [u32; 4]); 4] = [
+    (AppKind::Route, [90, 20, 88, 30]),
+    (AppKind::Url, [52, 13, 70, 82]),
+    (AppKind::Ipchains, [38, 3, 87, 63]),
+    (AppKind::Drr, [93, 48, 53, 80]),
+];
+
+/// The Markdown cells of `app`'s `measured` values, each followed by the
+/// paper's value when `paper` has a row for `app`.
+fn paper_cells<T: Display, const N: usize>(
+    app: AppKind,
+    measured: [T; N],
+    paper: &[(AppKind, [T; N])],
+    unit: &str,
+) -> String {
+    let paper = paper.iter().find(|row| row.0 == app).map(|row| &row.1);
+    let cells = measured.iter().enumerate().map(|(i, m)| match paper {
+        Some(p) => format!("{m}{unit} (paper: {}{unit})", p[i]),
+        None => format!("{m}{unit}"),
+    });
+    cells.collect::<Vec<_>>().join(" | ")
+}
+
+/// The paper's Table 1 ("Reduction of total simulations needed to explore
+/// the design space") in Markdown, one row per outcome, with the paper's
+/// counts beside the measured ones for the applications it reports.
 #[must_use]
 pub fn table1_markdown(outcomes: &[&MethodologyOutcome]) -> String {
     let mut out = String::from(
-        "| Network application | Exhaustive simulations | Reduced simulations | Pareto optimal |\n|---|---|---|---|\n",
+        "| Network application | Exhaustive simulations | Reduced simulations | Pareto optimal | Reduction |\n|---|---|---|---|---|\n",
     );
     for o in outcomes {
-        let _ = writeln!(
-            out,
-            "| {} | {} | {} | {} |",
-            o.config.app, o.counts.exhaustive, o.counts.reduced, o.counts.pareto_optimal
-        );
+        let (app, c) = (o.config.app, &o.counts);
+        let counts = [c.exhaustive, c.reduced, c.pareto_optimal];
+        let cells = paper_cells(app, counts, &PAPER_TABLE1, "");
+        let _ = writeln!(out, "| {app} | {cells} | {:.0}% |", c.reduction() * 100.0);
     }
     out
 }
@@ -81,15 +116,16 @@ pub fn tradeoff_percentages(outcome: &MethodologyOutcome) -> [u32; 4] {
 }
 
 /// The paper's Table 2 ("Trade-offs achieved among Pareto-optimal points")
-/// in Markdown.
+/// in Markdown, with the paper's percentages beside the measured ones for
+/// the applications it reports.
 #[must_use]
 pub fn table2_markdown(outcomes: &[&MethodologyOutcome]) -> String {
     let mut out = String::from(
         "| Application | Energy | Exec. Time | Mem. Accesses | Mem. Footprint |\n|---|---|---|---|---|\n",
     );
     for o in outcomes {
-        let [e, t, a, f] = tradeoff_percentages(o);
-        let _ = writeln!(out, "| {} | {e}% | {t}% | {a}% | {f}% |", o.config.app);
+        let cells = paper_cells(o.config.app, tradeoff_percentages(o), &PAPER_TABLE2, "%");
+        let _ = writeln!(out, "| {} | {cells} |", o.config.app);
     }
     out
 }
@@ -99,7 +135,6 @@ mod tests {
     use super::*;
     use crate::config::MethodologyConfig;
     use crate::pipeline::Methodology;
-    use ddtr_apps::AppKind;
 
     fn outcome() -> MethodologyOutcome {
         Methodology::new(MethodologyConfig::quick(AppKind::Drr))
@@ -110,12 +145,29 @@ mod tests {
     #[test]
     fn tables_render_markdown() {
         let o = outcome();
-        let t1 = table1_markdown(&[&o]);
-        assert!(t1.contains("| DRR |"));
+        let nat = Methodology::new(MethodologyConfig::quick(AppKind::Nat))
+            .run()
+            .expect("pipeline");
+        let t1 = table1_markdown(&[&o, &nat]);
         assert!(t1.contains("Exhaustive"));
-        let t2 = table2_markdown(&[&o]);
-        assert!(t2.contains('%'));
-        assert!(t2.contains("| DRR |"));
+        assert!(t1.contains("| DRR | 200 (paper: 500) |"), "{t1}");
+        assert!(t1.contains("| NAT | 200 | "), "{t1}");
+        let t2 = table2_markdown(&[&o, &nat]);
+        assert!(t2.contains("| DRR | "), "{t2}");
+        assert!(t2.contains("% (paper: 93%) |"), "{t2}");
+        let nat_row = t2
+            .lines()
+            .find(|l| l.starts_with("| NAT |"))
+            .expect("NAT row");
+        assert!(!nat_row.contains("paper"), "{nat_row}");
+    }
+
+    #[test]
+    fn paper_constants_cover_all_apps() {
+        for app in AppKind::ALL {
+            assert!(PAPER_TABLE1.iter().any(|r| r.0 == app));
+            assert!(PAPER_TABLE2.iter().any(|r| r.0 == app));
+        }
     }
 
     #[test]

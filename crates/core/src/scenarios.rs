@@ -162,17 +162,6 @@ impl ScenarioMatrix {
     }
 }
 
-/// Runs the scenario matrix on a fresh in-memory engine. See
-/// [`explore_scenarios_with`].
-///
-/// # Errors
-///
-/// Returns [`ExploreError::InvalidConfig`] when the configuration fails
-/// validation.
-pub fn explore_scenarios(cfg: &ScenarioConfig) -> Result<ScenarioMatrix, ExploreError> {
-    explore_scenarios_with(&mut ExploreEngine::in_memory(), cfg)
-}
-
 /// Runs the application × scenario matrix on an explicit engine: every
 /// cell streams its scenario workload through one engine batch (parallel
 /// across `--jobs` workers, cached by the scenario's [`StreamSpec`]
@@ -186,14 +175,14 @@ pub fn explore_scenarios(cfg: &ScenarioConfig) -> Result<ScenarioMatrix, Explore
 /// # Example
 ///
 /// ```
-/// use ddtr_core::{explore_scenarios, ScenarioConfig};
+/// use ddtr_core::{explore_scenarios_with, ExploreEngine, ScenarioConfig};
 /// use ddtr_apps::AppKind;
 /// use ddtr_trace::{NetworkPreset, Scenario};
 ///
 /// let mut cfg = ScenarioConfig::quick(NetworkPreset::DartmouthBerry);
 /// cfg.apps = vec![AppKind::Drr];
 /// cfg.scenarios = vec![Scenario::Baseline, Scenario::DdosSyn];
-/// let matrix = explore_scenarios(&cfg)?;
+/// let matrix = explore_scenarios_with(&mut ExploreEngine::in_memory(), &cfg)?;
 /// assert_eq!(matrix.cells.len(), 2);
 /// assert!(matrix.cells.iter().all(|c| !c.front.is_empty()));
 /// # Ok::<(), ddtr_core::ExploreError>(())
@@ -257,7 +246,8 @@ mod tests {
 
     #[test]
     fn matrix_covers_every_cell_with_a_front() {
-        let matrix = explore_scenarios(&tiny()).expect("matrix");
+        let matrix =
+            explore_scenarios_with(&mut ExploreEngine::in_memory(), &tiny()).expect("matrix");
         assert_eq!(matrix.cells.len(), 6);
         for cell in &matrix.cells {
             assert_eq!(cell.evaluations, 100, "{}/{}", cell.app, cell.scenario);
@@ -282,7 +272,7 @@ mod tests {
         // under different traffic regimes.
         let mut cfg = tiny();
         cfg.apps = vec![AppKind::Drr];
-        let matrix = explore_scenarios(&cfg).expect("matrix");
+        let matrix = explore_scenarios_with(&mut ExploreEngine::in_memory(), &cfg).expect("matrix");
         let accesses = |s: Scenario| {
             matrix
                 .cell(AppKind::Drr, s)
@@ -326,15 +316,15 @@ mod tests {
     fn validation_rejects_degenerate_configs() {
         let mut cfg = tiny();
         cfg.apps.clear();
-        assert!(explore_scenarios(&cfg).is_err());
+        assert!(explore_scenarios_with(&mut ExploreEngine::in_memory(), &cfg).is_err());
         let mut cfg = tiny();
         cfg.scenarios.clear();
-        assert!(explore_scenarios(&cfg).is_err());
+        assert!(explore_scenarios_with(&mut ExploreEngine::in_memory(), &cfg).is_err());
         let mut cfg = tiny();
         cfg.candidates.truncate(1);
-        assert!(explore_scenarios(&cfg).is_err());
+        assert!(explore_scenarios_with(&mut ExploreEngine::in_memory(), &cfg).is_err());
         let mut cfg = tiny();
         cfg.packets_per_sim = 0;
-        assert!(explore_scenarios(&cfg).is_err());
+        assert!(explore_scenarios_with(&mut ExploreEngine::in_memory(), &cfg).is_err());
     }
 }

@@ -250,16 +250,6 @@ impl SweepMatrix {
     }
 }
 
-/// Runs the sweep on a fresh in-memory engine. See [`explore_sweep_with`].
-///
-/// # Errors
-///
-/// Returns [`ExploreError::InvalidConfig`] when the configuration fails
-/// validation.
-pub fn explore_sweep(cfg: &SweepConfig) -> Result<SweepMatrix, ExploreError> {
-    explore_sweep_with(&mut ExploreEngine::in_memory(), cfg)
-}
-
 /// Runs the scenarios × platforms sweep on an explicit engine. See
 /// [`explore_sweep_observed`] for the streaming variant the service uses.
 ///
@@ -271,12 +261,12 @@ pub fn explore_sweep(cfg: &SweepConfig) -> Result<SweepMatrix, ExploreError> {
 /// # Example
 ///
 /// ```
-/// use ddtr_core::{explore_sweep, SweepConfig};
+/// use ddtr_core::{explore_sweep_with, ExploreEngine, SweepConfig};
 /// use ddtr_trace::NetworkPreset;
 ///
 /// let mut cfg = SweepConfig::quick(NetworkPreset::DartmouthBerry);
 /// cfg.packets_per_sim = 40;
-/// let matrix = explore_sweep(&cfg)?;
+/// let matrix = explore_sweep_with(&mut ExploreEngine::in_memory(), &cfg)?;
 /// assert_eq!(matrix.cells.len(), 4); // 1 app x 2 scenarios x 2 platforms
 /// // Some combination survives on every platform cell.
 /// assert!(!matrix.robust_combos(matrix.cells.len()).is_empty());
@@ -363,7 +353,7 @@ mod tests {
     fn sweep_covers_every_cell_and_aggregates_survivors() {
         let mut cfg = tiny();
         cfg.apps = vec![AppKind::Drr, AppKind::Url];
-        let matrix = explore_sweep(&cfg).expect("sweep");
+        let matrix = explore_sweep_with(&mut ExploreEngine::in_memory(), &cfg).expect("sweep");
         assert_eq!(matrix.cells.len(), 8, "2 apps x 2 scenarios x 2 presets");
         assert_eq!(matrix.evaluations(), 8 * 100);
         for cell in &matrix.cells {
@@ -406,7 +396,7 @@ mod tests {
     fn platforms_shift_the_measured_costs() {
         // The point of the axis: the same (app, scenario) must measure
         // differently on different platforms.
-        let matrix = explore_sweep(&tiny()).expect("sweep");
+        let matrix = explore_sweep_with(&mut ExploreEngine::in_memory(), &tiny()).expect("sweep");
         let cycles = |mem: MemoryPreset| {
             matrix
                 .cell(AppKind::Drr, Scenario::Baseline, mem)
@@ -496,38 +486,46 @@ mod tests {
     fn validation_rejects_degenerate_configs() {
         let mut cfg = tiny();
         cfg.apps.clear();
-        assert!(explore_sweep(&cfg).is_err());
+        assert!(explore_sweep_with(&mut ExploreEngine::in_memory(), &cfg).is_err());
         let mut cfg = tiny();
         cfg.scenarios.clear();
-        assert!(explore_sweep(&cfg).is_err());
+        assert!(explore_sweep_with(&mut ExploreEngine::in_memory(), &cfg).is_err());
         let mut cfg = tiny();
         cfg.mem_presets.clear();
-        let err = explore_sweep(&cfg).unwrap_err().to_string();
+        let err = explore_sweep_with(&mut ExploreEngine::in_memory(), &cfg)
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("embedded"), "lists the catalog: {err}");
         let mut cfg = tiny();
         cfg.mem_presets = vec![MemoryPreset::L2, MemoryPreset::L2];
-        let err = explore_sweep(&cfg).unwrap_err().to_string();
+        let err = explore_sweep_with(&mut ExploreEngine::in_memory(), &cfg)
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("distinct"), "{err}");
         // Duplicates on the other axes would double-count survivors too.
         let mut cfg = tiny();
         cfg.scenarios = vec![Scenario::Baseline, Scenario::Baseline];
-        let err = explore_sweep(&cfg).unwrap_err().to_string();
+        let err = explore_sweep_with(&mut ExploreEngine::in_memory(), &cfg)
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("distinct"), "{err}");
         let mut cfg = tiny();
         cfg.apps = vec![AppKind::Drr, AppKind::Drr];
-        let err = explore_sweep(&cfg).unwrap_err().to_string();
+        let err = explore_sweep_with(&mut ExploreEngine::in_memory(), &cfg)
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("distinct"), "{err}");
         let mut cfg = tiny();
         cfg.candidates.truncate(1);
-        assert!(explore_sweep(&cfg).is_err());
+        assert!(explore_sweep_with(&mut ExploreEngine::in_memory(), &cfg).is_err());
         let mut cfg = tiny();
         cfg.packets_per_sim = 0;
-        assert!(explore_sweep(&cfg).is_err());
+        assert!(explore_sweep_with(&mut ExploreEngine::in_memory(), &cfg).is_err());
     }
 
     #[test]
     fn sweep_matrix_serialises_round_trip() {
-        let matrix = explore_sweep(&tiny()).expect("sweep");
+        let matrix = explore_sweep_with(&mut ExploreEngine::in_memory(), &tiny()).expect("sweep");
         let json = serde_json::to_string(&matrix).expect("ser");
         let back: SweepMatrix = serde_json::from_str(&json).expect("de");
         assert_eq!(serde_json::to_string(&back).expect("ser"), json);

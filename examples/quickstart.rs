@@ -6,13 +6,16 @@
 //! ```
 
 use ddtr::apps::AppKind;
-use ddtr::core::{headline_comparison, Methodology, MethodologyConfig};
+use ddtr::core::{headline_comparison, ExploreEngine, Methodology, MethodologyConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Explore the deficit-round-robin scheduler with a reduced (quick)
     // sweep; use `MethodologyConfig::paper` for the full paper-sized one.
+    // One engine runs the exploration and the headline's baseline, so the
+    // baseline reuses what the exploration already simulated.
     let cfg = MethodologyConfig::quick(AppKind::Drr);
-    let outcome = Methodology::new(cfg.clone()).run()?;
+    let mut engine = ExploreEngine::in_memory();
+    let outcome = Methodology::new(cfg.clone()).run_with(&mut engine)?;
 
     println!("== step 1: application-level exploration ==");
     println!(
@@ -39,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  {:20} {}", point.combo, point.report);
     }
 
-    let headline = headline_comparison(&cfg, &outcome)?;
+    let headline = headline_comparison(&mut engine, &cfg, &outcome)?;
     println!(
         "\nversus the original SLL implementation: {:.0}% energy saving, {:.0}% faster",
         headline.energy_saving() * 100.0,

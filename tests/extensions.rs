@@ -138,10 +138,13 @@ fn nat_extension_app_runs_the_full_pipeline() {
 
 #[test]
 fn nat_baseline_is_dominated_like_the_paper_apps() {
-    use ddtr::core::headline_comparison;
+    use ddtr::core::{headline_comparison, ExploreEngine};
     let cfg = MethodologyConfig::quick(AppKind::Nat);
-    let outcome = Methodology::new(cfg.clone()).run().expect("pipeline runs");
-    let headline = headline_comparison(&cfg, &outcome).expect("headline");
+    let mut engine = ExploreEngine::in_memory();
+    let outcome = Methodology::new(cfg.clone())
+        .run_with(&mut engine)
+        .expect("pipeline runs");
+    let headline = headline_comparison(&mut engine, &cfg, &outcome).expect("headline");
     assert!(
         headline.energy_saving() > 0.0,
         "the SLL baseline must be beatable on energy"

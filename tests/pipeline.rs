@@ -3,8 +3,8 @@
 
 use ddtr::apps::AppKind;
 use ddtr::core::{
-    headline_comparison, table1_markdown, table2_markdown, tradeoff_percentages, Methodology,
-    MethodologyConfig,
+    headline_comparison, table1_markdown, table2_markdown, tradeoff_percentages, ExploreEngine,
+    Methodology, MethodologyConfig,
 };
 use ddtr::ddt::DdtKind;
 
@@ -85,8 +85,11 @@ fn global_front_is_mutually_nondominated() {
 fn refined_points_beat_or_match_baseline() {
     for app in AppKind::ALL {
         let cfg = MethodologyConfig::quick(app);
-        let outcome = Methodology::new(cfg.clone()).run().expect("pipeline runs");
-        let h = headline_comparison(&cfg, &outcome).expect("headline computes");
+        let mut engine = ExploreEngine::in_memory();
+        let outcome = Methodology::new(cfg.clone())
+            .run_with(&mut engine)
+            .expect("pipeline runs");
+        let h = headline_comparison(&mut engine, &cfg, &outcome).expect("headline computes");
         assert!(h.energy_saving() >= -0.01, "{app}: {}", h.energy_saving());
         assert!(
             h.time_improvement() >= -0.01,
