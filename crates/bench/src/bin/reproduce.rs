@@ -56,13 +56,12 @@ const SECTIONS: [(&str, Section); 21] = [
 
 const INTRO: &str = "Bartzas et al., *Dynamic data type refinement methodology for \
 systematic performance-energy design exploration of network applications* \
-(DATE 2006), reproduced on this repository's memory-hierarchy simulator. \
-Each section says what it measures and gives the measured values, with the \
-paper's value beside a measured one as `(paper: ...)` wherever the paper \
-reports it. The sections after the paper's own artifacts are studies beyond \
-it.\n\nRegenerate with `cargo run --release -p ddtr_bench --bin reproduce > \
-REPRODUCTION.md`. CI regenerates the file and fails on any difference, so a \
-change that moves a reproduced number shows up as a diff of this file.\n";
+(DATE 2006), reproduced on this repository's memory-hierarchy simulator. Each \
+section says what it measures, then gives the measured values, with the \
+paper's value as `(paper: ...)` wherever the paper reports one; studies beyond \
+the paper follow its own artifacts.\n\nRegenerate with `cargo run --release -p \
+ddtr_bench --bin reproduce > REPRODUCTION.md`; CI fails when this file differs \
+from a fresh run.\n";
 
 fn main() {
     let mut engine = ExploreEngine::in_memory();
@@ -155,9 +154,11 @@ fn section(lead: &str, header: &str, rows: impl IntoIterator<Item = String>) -> 
     format!("{lead}\n\n{}", table(header, rows))
 }
 
-/// A fenced plain-text block (charts, CSV, log lines).
+/// A fenced plain-text block (charts, CSV, log lines) without trailing
+/// blanks.
 fn text(body: &str) -> String {
-    format!("```text\n{body}```\n")
+    let lines: Vec<&str> = body.lines().map(str::trim_end).collect();
+    format!("```text\n{}\n```\n", lines.join("\n"))
 }
 
 fn stream(spec: TraceSpec, packets: usize) -> StreamSpec {

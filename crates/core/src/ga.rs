@@ -7,8 +7,8 @@
 //! research line). This module provides the standard multi-objective
 //! answer: a seeded, deterministic NSGA-II over combination genomes that
 //! recovers (most of) the step-1 Pareto front from a fraction of the
-//! simulations. The `heuristic` binary quantifies the trade
-//! (`cargo run -p ddtr_bench --bin heuristic --release`).
+//! simulations. The NSGA-II sections of the reproduction scorecard
+//! (`REPRODUCTION.md`) quantify the trade.
 
 use crate::error::ExploreError;
 use ddtr_apps::{AppKind, AppParams, DOMINANT_SLOTS_PER_APP};
@@ -96,8 +96,9 @@ impl GaConfig {
         }
     }
 
-    /// The configuration the `heuristic` bench compares against the
-    /// paper-sized exhaustive step 1 (same trace length and parameters).
+    /// The configuration the reproduction scorecard (`REPRODUCTION.md`)
+    /// compares against the paper-sized exhaustive step 1 (same trace
+    /// length and parameters).
     #[must_use]
     pub fn paper(app: AppKind) -> Self {
         GaConfig {

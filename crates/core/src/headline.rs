@@ -109,11 +109,8 @@ pub fn headline_comparison(
             })
         })
         .collect();
-    let reports: Vec<CostReport> = engine
-        .try_evaluate_batch(&units)?
-        .into_iter()
-        .map(|log| log.report)
-        .collect();
+    let logs = engine.try_evaluate_batch(&units)?;
+    let reports: Vec<CostReport> = logs.into_iter().map(|log| log.report).collect();
     let n = reports.len() as f64;
     let baseline = CostReport {
         accesses: (reports.iter().map(|r| r.accesses).sum::<u64>() as f64 / n) as u64,

@@ -96,8 +96,10 @@ pub fn explore_application_level_with(
 
 /// Survivor selection: the 4-D Pareto-optimal combinations, plus the best
 /// remaining combinations by normalised score until the target count is
-/// reached. The front is never truncated — pruning must stay loss-free for
-/// step 3 (see the `ablation_pruning` bench for the empirical check).
+/// reached. The front is never truncated, so every step-1 metric winner
+/// reaches step 3; the step-1 pruning fidelity study of the reproduction
+/// scorecard (`REPRODUCTION.md`) measures what pruning still loses
+/// against exhaustive exploration.
 pub(crate) fn select_survivors(measurements: &[SimLog], fraction: f64) -> Vec<String> {
     if measurements.is_empty() {
         return Vec::new();

@@ -13,7 +13,8 @@ pub const DESCRIPTOR_BYTES: u64 = 24;
 /// Records per chunk in the chunked (unrolled) list implementations.
 ///
 /// Eight records per chunk matches the configuration used by the original
-/// DDT library and is swept by the `ablation_chunk` bench.
+/// DDT library and is swept by the chunk capacity study of the
+/// reproduction scorecard (`REPRODUCTION.md`).
 pub const CHUNK_CAPACITY: usize = 8;
 
 // Layout invariants the implementations rely on, checked at compile time.

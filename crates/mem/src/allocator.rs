@@ -48,9 +48,10 @@ impl std::error::Error for AllocError {}
 /// Free-region selection policy of the [`SimAllocator`].
 ///
 /// The DATE 2006 framework's dynamic memory manager is itself a design
-/// dimension in follow-up work of the same group; this knob lets the
-/// `ablation_alloc` binary check that DDT rankings are robust against the
-/// allocator the platform middleware happens to use.
+/// dimension in follow-up work of the same group; this knob lets the heap
+/// fit policy study of the reproduction scorecard (`REPRODUCTION.md`)
+/// measure how DDT rankings react to the allocator the platform
+/// middleware happens to use.
 ///
 /// # Example
 ///

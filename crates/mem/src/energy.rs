@@ -12,8 +12,9 @@
 //! which matches the published ratios the methodology relies on. Absolute
 //! joule values are *not* meaningful — only the ordering of DDT
 //! implementations is, and any monotone capacity-dependent model preserves
-//! it. The `ablation_energy` binary of `ddtr_bench` checks that the Pareto
-//! fronts survive large perturbations of these constants.
+//! it. The energy-model sensitivity study of the reproduction scorecard
+//! (`REPRODUCTION.md`) measures how the Pareto front moves under large
+//! perturbations of these constants.
 
 use crate::config::{CacheConfig, DramConfig};
 use serde::{Deserialize, Serialize};

@@ -113,7 +113,8 @@ pub fn curve_2d<P: AsRef<[f64]>>(points: &[P], x_dim: usize, y_dim: usize) -> Ve
 }
 
 /// 2-D hypervolume (area dominated by the front, bounded by `reference`),
-/// a scalar quality indicator used by the `heuristic` binary. Points worse
+/// a scalar quality indicator the reproduction scorecard reports for the
+/// NSGA-II front (`REPRODUCTION.md`). Points worse
 /// than the reference in either objective contribute nothing; a NaN
 /// coordinate fails the reference-box comparison, so NaN points are
 /// silently excluded rather than panicking (the n-dimensional
