@@ -165,13 +165,13 @@ fn stream(spec: TraceSpec, packets: usize) -> StreamSpec {
     StreamSpec::single(spec, packets).expect("reproduction workloads are valid")
 }
 
-fn paper_outcomes(engine: &mut ExploreEngine) -> Vec<MethodologyOutcome> {
+fn paper_explores(engine: &mut ExploreEngine) -> Vec<MethodologyOutcome> {
     let apps = AppKind::EXTENDED_ALL;
     apps.iter().map(|&app| paper(engine, app)).collect()
 }
 
 fn table1(engine: &mut ExploreEngine) -> String {
-    let outcomes = paper_outcomes(engine);
+    let outcomes = paper_explores(engine);
     format!(
         "Simulations the methodology runs against an exhaustive exploration of every \
          combination on every configuration, and the Pareto-optimal points it keeps \
@@ -181,7 +181,7 @@ fn table1(engine: &mut ExploreEngine) -> String {
 }
 
 fn table2(engine: &mut ExploreEngine) -> String {
-    let outcomes = paper_outcomes(engine);
+    let outcomes = paper_explores(engine);
     format!(
         "Per metric, (worst - best) / worst over the global Pareto front: how much a \
          designer trades by moving along it.\n\n{}",
