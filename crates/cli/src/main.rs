@@ -205,43 +205,58 @@ const QUERY_FLAGS: FlagRow = FlagRow {
     switches: &["--json", "--quiet"],
 };
 
+/// A subcommand's body: it runs on the arguments after the name.
+type Subcommand = fn(&[&String]) -> Result<(), String>;
+
+/// Every subcommand and its body, in README's order. [`run`] dispatches
+/// through this table, and a unit test checks it against README's
+/// subcommand reference and [`USAGE`].
+const COMMANDS: &[(&str, Subcommand)] = &[
+    ("profile", profile),
+    ("explore", explore),
+    ("pareto", pareto),
+    ("report", report),
+    ("ga", ga),
+    ("scenarios", scenarios),
+    ("sweep", sweep),
+    ("trace", trace),
+    ("params", params),
+    ("replay", replay),
+    ("cache", cache),
+    ("serve", serve),
+    ("query", query),
+    ("loadtest", loadtest),
+    ("presets", presets),
+    ("mem-presets", mem_presets),
+];
+
 fn run(args: &[String]) -> Result<(), String> {
     let mut it = args.iter();
     let cmd = it.next().ok_or("missing subcommand")?;
     let rest: Vec<&String> = it.collect();
-    match cmd.as_str() {
-        "profile" => profile(&rest),
-        "explore" => explore(&rest),
-        "pareto" => pareto(&rest),
-        "report" => report(&rest),
-        "trace" => trace(&rest),
-        "params" => params(&rest),
-        "replay" => replay(&rest),
-        "ga" => ga(&rest),
-        "scenarios" => scenarios(&rest),
-        "sweep" => sweep(&rest),
-        "cache" => cache(&rest),
-        "serve" => serve(&rest),
-        "query" => query(&rest),
-        "loadtest" => loadtest(&rest),
-        "mem-presets" => {
-            for p in MemoryPreset::ALL {
-                println!("{:10} {}", p.to_string(), p.describe());
-            }
-            Ok(())
-        }
-        "presets" => {
-            for p in NetworkPreset::ALL {
-                let s = p.spec();
-                println!(
-                    "{p:10} nodes={:4} rate={:6.0}pps flows={:3} mtu={}",
-                    s.nodes, s.mean_rate_pps, s.flows, s.sizes.mtu
-                );
-            }
-            Ok(())
-        }
-        other => Err(format!("unknown subcommand `{other}`")),
+    let (_, command) = COMMANDS
+        .iter()
+        .find(|(name, _)| name == cmd)
+        .ok_or_else(|| format!("unknown subcommand `{cmd}`"))?;
+    command(&rest)
+}
+
+fn presets(_rest: &[&String]) -> Result<(), String> {
+    for p in NetworkPreset::ALL {
+        let s = p.spec();
+        println!(
+            "{p:10} nodes={:4} rate={:6.0}pps flows={:3} mtu={}",
+            s.nodes, s.mean_rate_pps, s.flows, s.sizes.mtu
+        );
     }
+    Ok(())
+}
+
+fn mem_presets(_rest: &[&String]) -> Result<(), String> {
+    for p in MemoryPreset::ALL {
+        println!("{:10} {}", p.to_string(), p.describe());
+    }
+    Ok(())
 }
 
 /// A command line scanned against its subcommand's flag rows: each flag
@@ -1882,5 +1897,46 @@ mod tests {
         assert!(err.contains("frobnicate"));
         let err = run(&args(&["cache", "import", "--cache-dir", &dir_str])).unwrap_err();
         assert!(err.contains("JSONL"), "{err}");
+    }
+
+    /// The subcommands of README's reference table: the rows under the
+    /// header row that contains "subcommand", each named by the first
+    /// word of its first backticked cell.
+    fn readme_subcommands() -> Vec<&'static str> {
+        let mut rows = Vec::new();
+        let mut in_table = false;
+        for line in include_str!("../../../README.md").lines() {
+            let line = line.trim();
+            if !line.starts_with('|') {
+                in_table = false;
+            } else if !in_table {
+                in_table = line.contains("subcommand") && !line.contains('`');
+            } else if let Some(cell) = line.split('`').nth(1) {
+                rows.extend(cell.split_whitespace().next());
+            }
+        }
+        rows
+    }
+
+    #[test]
+    fn readme_and_usage_list_every_subcommand() {
+        let names: Vec<&str> = COMMANDS.iter().map(|(name, _)| *name).collect();
+        let rows = readme_subcommands();
+        let undocumented: Vec<_> = names.iter().filter(|n| !rows.contains(n)).collect();
+        let stale: Vec<_> = rows.iter().filter(|r| !names.contains(r)).collect();
+        assert!(
+            undocumented.is_empty() && stale.is_empty(),
+            "README's subcommand table lacks {undocumented:?} and lists {stale:?}, \
+             which the CLI does not dispatch"
+        );
+        for name in names {
+            assert!(
+                USAGE.lines().any(|line| {
+                    let mut words = line.split_whitespace();
+                    words.next() == Some("ddtr") && words.next() == Some(name)
+                }),
+                "USAGE has no `ddtr {name}` line"
+            );
+        }
     }
 }

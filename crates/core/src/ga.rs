@@ -365,7 +365,7 @@ pub fn explore_heuristic_with(
     let mut stale = 0usize;
 
     for generation in 1..=cfg.generations {
-        let _gen_span = ddtr_obs::Span::enter("core.ga.generation");
+        let _gen_span = ddtr_obs::Span::enter(ddtr_obs::names::CORE_GA_GENERATION);
         let fitness: Vec<[f64; 4]> = population
             .iter()
             .map(|g| archive.objectives(to_combo(g)))

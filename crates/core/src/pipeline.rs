@@ -127,19 +127,19 @@ impl Methodology {
         // be shared with other engines of a session that run meanwhile.
         let before = engine.control().progress();
         let profile = {
-            let _span = ddtr_obs::Span::enter("core.profile");
+            let _span = ddtr_obs::Span::enter(ddtr_obs::names::CORE_PROFILE);
             profile_application(&self.config)?
         };
         let step1 = {
-            let _span = ddtr_obs::Span::enter("core.step1");
+            let _span = ddtr_obs::Span::enter(ddtr_obs::names::CORE_STEP1);
             explore_application_level_with(engine, &self.config)?
         };
         let step2 = {
-            let _span = ddtr_obs::Span::enter("core.step2");
+            let _span = ddtr_obs::Span::enter(ddtr_obs::names::CORE_STEP2);
             explore_network_level_with(engine, &self.config, &step1.survivor_combos())?
         };
         let pareto = {
-            let _span = ddtr_obs::Span::enter("core.step3");
+            let _span = ddtr_obs::Span::enter(ddtr_obs::names::CORE_STEP3);
             explore_pareto_level(&step2)?
         };
         let counts = SimCounts {

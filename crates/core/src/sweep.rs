@@ -301,7 +301,7 @@ pub fn explore_sweep_observed(
             let spec: StreamSpec = scenario.stream_spec(cfg.base, cfg.packets_per_sim);
             let fp = fingerprint_stream_spec(&spec);
             for &mem in &cfg.mem_presets {
-                let _cell_span = ddtr_obs::Span::enter("core.sweep.cell");
+                let _cell_span = ddtr_obs::Span::enter(ddtr_obs::names::CORE_SWEEP_CELL);
                 let mem_cfg = mem.config();
                 let units: Vec<SimUnit> = combos
                     .iter()

@@ -118,7 +118,7 @@ impl SimCache {
             let _ = std::fs::rename(&legacy, PathBuf::from(backup));
             loaded += migrated;
         }
-        ddtr_obs::counter("engine.cache.load").add(loaded as u64);
+        ddtr_obs::counter(ddtr_obs::names::ENGINE_CACHE_LOAD).add(loaded as u64);
         Ok(SimCache {
             map: HashMap::new(),
             backend: Backend::Pile(Box::new(store)),
@@ -141,7 +141,7 @@ impl SimCache {
     pub fn get(&mut self, id: &str) -> Option<SimLog> {
         if let Some(log) = self.map.get(id) {
             self.hits += 1;
-            ddtr_obs::counter("engine.cache.hit").inc();
+            ddtr_obs::counter(ddtr_obs::names::ENGINE_CACHE_HIT).inc();
             return Some(log.clone());
         }
         let Backend::Pile(store) = &mut self.backend else {
@@ -159,7 +159,7 @@ impl SimCache {
             .and_then(|text| serde_json::from_str::<CacheEntry>(text).ok())?;
         self.map.insert(id.to_string(), entry.log.clone());
         self.hits += 1;
-        ddtr_obs::counter("engine.cache.hit").inc();
+        ddtr_obs::counter(ddtr_obs::names::ENGINE_CACHE_HIT).inc();
         Some(entry.log)
     }
 
@@ -167,7 +167,7 @@ impl SimCache {
     /// when caching is disabled, so the miss accounting stays truthful.
     pub fn note_miss(&mut self) {
         self.misses += 1;
-        ddtr_obs::counter("engine.cache.miss").inc();
+        ddtr_obs::counter(ddtr_obs::names::ENGINE_CACHE_MISS).inc();
     }
 
     /// Records one executed simulation, appending it to the pile store
@@ -175,7 +175,7 @@ impl SimCache {
     /// caching (the run's results stay correct either way).
     pub fn insert(&mut self, key: &CacheKey, log: SimLog) {
         self.misses += 1;
-        ddtr_obs::counter("engine.cache.miss").inc();
+        ddtr_obs::counter(ddtr_obs::names::ENGINE_CACHE_MISS).inc();
         if let Backend::Pile(store) = &mut self.backend {
             let entry = CacheEntry {
                 key: key.clone(),
@@ -183,7 +183,7 @@ impl SimCache {
             };
             if let Ok(line) = serde_json::to_string(&entry) {
                 if store.append(key.id().as_bytes(), line.as_bytes()).is_ok() {
-                    ddtr_obs::counter("engine.cache.store").inc();
+                    ddtr_obs::counter(ddtr_obs::names::ENGINE_CACHE_STORE).inc();
                 }
             }
         }

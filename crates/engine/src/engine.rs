@@ -385,13 +385,13 @@ impl ExploreEngine {
         if self.control.is_cancelled() {
             return Err(Cancelled);
         }
-        let _batch_span = ddtr_obs::Span::enter("engine.batch");
+        let _batch_span = ddtr_obs::Span::enter(ddtr_obs::names::ENGINE_BATCH);
         let keys: Vec<CacheKey> = units.iter().map(SimUnit::key).collect();
         let ids: Vec<String> = keys.iter().map(CacheKey::id).collect();
         let mut results: Vec<Option<SimLog>> = vec![None; units.len()];
         self.control.add_total(units.len());
         // Resolve cross-batch hits and pick one executor per distinct id.
-        let schedule_span = ddtr_obs::Span::enter("engine.schedule");
+        let schedule_span = ddtr_obs::Span::enter(ddtr_obs::names::ENGINE_SCHEDULE);
         let mut to_run: Vec<usize> = Vec::new();
         let mut scheduled: std::collections::HashSet<&str> = std::collections::HashSet::new();
         let mut hits = 0;
@@ -430,7 +430,7 @@ impl ExploreEngine {
         // checks the cancel token so an abandoned batch stops promptly.
         let control = &self.control;
         let pool = self.pool.as_deref();
-        let execute_span = ddtr_obs::Span::enter("engine.execute");
+        let execute_span = ddtr_obs::Span::enter(ddtr_obs::names::ENGINE_EXECUTE);
         let executed: Vec<Option<SimLog>> = run_ordered(&to_run, self.cfg.jobs, |&i| {
             if control.is_cancelled() {
                 return None;
@@ -445,7 +445,7 @@ impl ExploreEngine {
             // held permit would stall every other request of the session.
             drop(permit);
             control.add_executed();
-            ddtr_obs::counter("engine.sim.executed").inc();
+            ddtr_obs::counter(ddtr_obs::names::ENGINE_SIM_EXECUTED).inc();
             Some(log)
         });
         drop(execute_span);

@@ -198,6 +198,24 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// JSON encoding. Deterministic across runs and processes for a given
 /// build, which is all the on-disk cache needs (the format version guards
 /// against encoding changes).
+///
+/// Every field of a fingerprinted config is in the key. The vendored
+/// `Serialize` derive (`vendor/serde_derive`) writes every named field, and
+/// it rejects every `#[serde(...)]` argument except `default`, so no field
+/// can hide from the encoding:
+///
+/// ```compile_fail
+/// #[derive(serde::Serialize)]
+/// struct Params {
+///     quantum: u32,
+///     #[serde(skip)]
+///     scratch: u32,
+/// }
+/// ```
+///
+/// Adding, renaming or removing a field changes every fingerprint of its
+/// struct, so entries stored before the change go cold instead of
+/// replaying stale results; that needs no [`CACHE_FORMAT_VERSION`] bump.
 #[must_use]
 pub fn fingerprint_value<T: Serialize>(value: &T) -> u64 {
     let json = serde_json::to_string(value).expect("fingerprinted values serialise");

@@ -255,7 +255,8 @@ impl JobsPool {
         state.serving += 1;
         state.held += 1;
         drop(state);
-        ddtr_obs::histogram("engine.jobs_pool.wait").record_duration(queued_at.elapsed());
+        ddtr_obs::histogram(ddtr_obs::names::ENGINE_JOBS_POOL_WAIT)
+            .record_duration(queued_at.elapsed());
         // Later tickets may now be eligible (serving advanced).
         self.cv.notify_all();
         JobsPermit { pool: self }

@@ -230,7 +230,7 @@ impl<S: PageSource> PageSource for CachedPages<S> {
             }
             valid += n;
         }
-        ddtr_obs::counter("engine.store.read_bytes").add(valid as u64);
+        ddtr_obs::counter(ddtr_obs::names::ENGINE_STORE_READ_BYTES).add(valid as u64);
         let served = want.min(valid.saturating_sub(start));
         if let (Some(dst), Some(src)) = (buf.get_mut(0..served), data.get(start..start + served)) {
             dst.copy_from_slice(src);

@@ -208,7 +208,7 @@ impl PileStore {
                         offset,
                         kind,
                     });
-                    ddtr_obs::counter("engine.store.corrupt").inc();
+                    ddtr_obs::counter(ddtr_obs::names::ENGINE_STORE_CORRUPT).inc();
                     slots.push(Slot { path, reader: None });
                 }
                 Err(StoreError::Io(err)) => return Err(StoreError::Io(err)),
@@ -316,7 +316,7 @@ impl PileStore {
                         offset,
                         kind,
                     });
-                    ddtr_obs::counter("engine.store.corrupt").inc();
+                    ddtr_obs::counter(ddtr_obs::names::ENGINE_STORE_CORRUPT).inc();
                 }
                 Err(StoreError::Io(err)) => return Err(StoreError::Io(err)),
             }
@@ -675,7 +675,7 @@ impl PileStore {
 
     fn note_issues(&mut self, new: Vec<StoreIssue>) {
         if !new.is_empty() {
-            ddtr_obs::counter("engine.store.corrupt").add(new.len() as u64);
+            ddtr_obs::counter(ddtr_obs::names::ENGINE_STORE_CORRUPT).add(new.len() as u64);
             self.issues.extend(new);
         }
     }

@@ -208,7 +208,7 @@ pub fn load_index(
     let Ok(bytes) = std::fs::read(&path) else {
         return Vec::new();
     };
-    ddtr_obs::counter("engine.store.read_bytes").add(bytes.len() as u64);
+    ddtr_obs::counter(ddtr_obs::names::ENGINE_STORE_READ_BYTES).add(bytes.len() as u64);
     let header = match IdxHeader::decode(&bytes) {
         Ok(h) => h,
         Err(kind) => {

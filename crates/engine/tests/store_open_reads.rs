@@ -25,7 +25,7 @@ fn build_store(dir: &Path, n: usize) {
 
 /// Bytes one open of the store under `dir` reads, and its segment count.
 fn open_reads(dir: &Path) -> (u64, usize) {
-    let read_bytes = ddtr_obs::counter("engine.store.read_bytes");
+    let read_bytes = ddtr_obs::counter(ddtr_obs::names::ENGINE_STORE_READ_BYTES);
     let before = read_bytes.get();
     let store = PileStore::open(dir).expect("store opens");
     (read_bytes.get() - before, store.segment_count())

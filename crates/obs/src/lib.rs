@@ -5,6 +5,8 @@
 //! service overhead. `ddtr_obs` is the measurement layer inside the
 //! program that splits it. It provides:
 //!
+//! * the catalog of every metric and span [`Name`] ([`names`]): only
+//!   this crate can make a name, so an uncataloged one does not compile;
 //! * a process-wide [`Registry`] of atomic [`Counter`]s, [`Gauge`]s and
 //!   fixed-bucket log-scale latency [`Histogram`]s with p50/p90/p99
 //!   extraction — all `Send + Sync`, all lock-free on the record path;
@@ -40,27 +42,30 @@
 //! # Example
 //!
 //! ```
+//! use ddtr_obs::names::{ENGINE_BATCH, ENGINE_JOBS_POOL_WAIT, ENGINE_SIM_EXECUTED};
 //! use ddtr_obs::{counter, histogram, Span};
 //! use std::time::Duration;
 //!
-//! let _span = Span::enter("example.work");
-//! counter("example.iterations").inc();
-//! histogram("example.latency").record_duration(Duration::from_micros(250));
+//! let _span = Span::enter(ENGINE_BATCH);
+//! counter(ENGINE_SIM_EXECUTED).inc();
+//! histogram(ENGINE_JOBS_POOL_WAIT).record_duration(Duration::from_micros(250));
 //! let snap = ddtr_obs::snapshot();
-//! assert!(snap.counters["example.iterations"] >= 1);
+//! assert!(snap.counters["engine.sim.executed"] >= 1);
 //! ```
 //!
 //! [`render_prometheus`]: crate::render_prometheus
 
 pub mod hist;
 pub mod metrics;
+pub mod names;
 pub mod span;
 
 pub use hist::{BucketCount, Histogram, HistogramSnapshot};
 pub use metrics::{
-    counter, gauge, histogram, render_prometheus, snapshot, Counter, Gauge, MetricsSnapshot,
-    Registry,
+    counter, gauge, histogram, indexed_gauge, render_prometheus, snapshot, Counter, Gauge,
+    MetricsSnapshot, Registry,
 };
+pub use names::Name;
 pub use span::{chrome_trace_json, trace_dropped, trace_len, write_chrome_trace, Span};
 
 use std::sync::atomic::{AtomicU8, Ordering};

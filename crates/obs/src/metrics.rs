@@ -1,14 +1,15 @@
 //! The process-wide metrics registry: counters, gauges, histograms,
 //! snapshots and the Prometheus-style text exposition.
 //!
-//! Handles are `Arc`s handed out by name from a global [`Registry`]; the
-//! registry lock is only taken on lookup and snapshot, never on the
+//! Handles are `Arc`s handed out by [`Name`] from a global [`Registry`];
+//! the registry lock is only taken on lookup and snapshot, never on the
 //! record path (recording is a relaxed atomic op on the handle). Names
-//! are dot-separated (`engine.cache.hit`, `serve.request.latency`) — the
-//! catalog lives in `docs/OBSERVABILITY.md`. Snapshots use `BTreeMap`s
+//! are dot-separated (`engine.cache.hit`, `serve.request.latency`) and
+//! come from the catalog in [`crate::names`]. Snapshots use `BTreeMap`s
 //! so every serialisation and exposition is deterministically ordered.
 
 use crate::hist::{Histogram, HistogramSnapshot};
+use crate::names::Name;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -111,35 +112,27 @@ impl Registry {
 
     /// The counter named `name`, created on first use.
     #[must_use]
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut map = self.counters.lock().unwrap_or_else(PoisonError::into_inner);
-        Arc::clone(
-            map.entry(name.to_string())
-                .or_insert_with(|| Arc::new(Counter::new())),
-        )
+    pub fn counter(&self, name: Name) -> Arc<Counter> {
+        instrument(&self.counters, name.as_str())
     }
 
     /// The gauge named `name`, created on first use.
     #[must_use]
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut map = self.gauges.lock().unwrap_or_else(PoisonError::into_inner);
-        Arc::clone(
-            map.entry(name.to_string())
-                .or_insert_with(|| Arc::new(Gauge::new())),
-        )
+    pub fn gauge(&self, name: Name) -> Arc<Gauge> {
+        instrument(&self.gauges, name.as_str())
+    }
+
+    /// The gauge of member `index` of the indexed family `family`
+    /// (`serve.worker<N>.inflight`), created on first use.
+    #[must_use]
+    pub fn indexed_gauge(&self, family: Name, index: usize) -> Arc<Gauge> {
+        instrument(&self.gauges, &family.render(index))
     }
 
     /// The histogram named `name`, created on first use.
     #[must_use]
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut map = self
-            .histograms
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        Arc::clone(
-            map.entry(name.to_string())
-                .or_insert_with(|| Arc::new(Histogram::new())),
-        )
+    pub fn histogram(&self, name: Name) -> Arc<Histogram> {
+        instrument(&self.histograms, name.as_str())
     }
 
     /// A point-in-time copy of every registered instrument.
@@ -174,21 +167,34 @@ impl Registry {
     }
 }
 
+/// The instrument keyed `key` in `map`, created on first use.
+fn instrument<T: Default>(map: &Mutex<BTreeMap<String, Arc<T>>>, key: &str) -> Arc<T> {
+    let mut map = map.lock().unwrap_or_else(PoisonError::into_inner);
+    Arc::clone(map.entry(key.to_string()).or_default())
+}
+
 /// The counter named `name` in the global registry.
 #[must_use]
-pub fn counter(name: &str) -> Arc<Counter> {
+pub fn counter(name: Name) -> Arc<Counter> {
     Registry::global().counter(name)
 }
 
 /// The gauge named `name` in the global registry.
 #[must_use]
-pub fn gauge(name: &str) -> Arc<Gauge> {
+pub fn gauge(name: Name) -> Arc<Gauge> {
     Registry::global().gauge(name)
+}
+
+/// The gauge of member `index` of the indexed family `family` in the
+/// global registry.
+#[must_use]
+pub fn indexed_gauge(family: Name, index: usize) -> Arc<Gauge> {
+    Registry::global().indexed_gauge(family, index)
 }
 
 /// The histogram named `name` in the global registry.
 #[must_use]
-pub fn histogram(name: &str) -> Arc<Histogram> {
+pub fn histogram(name: Name) -> Arc<Histogram> {
     Registry::global().histogram(name)
 }
 
@@ -264,46 +270,62 @@ pub fn render_prometheus(snap: &MetricsSnapshot) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::names::{
+        ENGINE_CACHE_HIT, ENGINE_CACHE_MISS, SERVE_INFLIGHT, SERVE_REQUEST_LATENCY,
+        SERVE_REQUEST_PING, SERVE_WORKER_INFLIGHT,
+    };
 
     #[test]
     fn counters_accumulate_and_share_by_name() {
         let reg = Registry::new();
-        reg.counter("t.hits").add(2);
-        reg.counter("t.hits").inc();
-        assert_eq!(reg.counter("t.hits").get(), 3);
-        assert_eq!(reg.counter("t.other").get(), 0);
+        reg.counter(ENGINE_CACHE_HIT).add(2);
+        reg.counter(ENGINE_CACHE_HIT).inc();
+        assert_eq!(reg.counter(ENGINE_CACHE_HIT).get(), 3);
+        assert_eq!(reg.counter(ENGINE_CACHE_MISS).get(), 0);
     }
 
     #[test]
     fn gauges_go_up_and_down() {
         let reg = Registry::new();
-        let g = reg.gauge("t.inflight");
+        let g = reg.gauge(SERVE_INFLIGHT);
         g.inc();
         g.inc();
         g.dec();
         assert_eq!(g.get(), 1);
         g.set(42);
-        assert_eq!(reg.gauge("t.inflight").get(), 42);
+        assert_eq!(reg.gauge(SERVE_INFLIGHT).get(), 42);
+    }
+
+    #[test]
+    fn indexed_gauges_are_one_gauge_per_member() {
+        let reg = Registry::new();
+        reg.indexed_gauge(SERVE_WORKER_INFLIGHT, 0).inc();
+        reg.indexed_gauge(SERVE_WORKER_INFLIGHT, 1).set(5);
+        reg.indexed_gauge(SERVE_WORKER_INFLIGHT, 0).inc();
+        let snap = reg.snapshot();
+        assert_eq!(snap.gauges["serve.worker0.inflight"], 2);
+        assert_eq!(snap.gauges["serve.worker1.inflight"], 5);
+        assert_eq!(snap.gauges.len(), 2);
     }
 
     #[test]
     fn snapshot_is_deterministically_ordered() {
         let reg = Registry::new();
-        reg.counter("b").inc();
-        reg.counter("a").inc();
-        reg.histogram("z").record(5);
+        reg.counter(SERVE_REQUEST_PING).inc();
+        reg.counter(ENGINE_CACHE_HIT).inc();
+        reg.histogram(SERVE_REQUEST_LATENCY).record(5);
         let snap = reg.snapshot();
         let names: Vec<&String> = snap.counters.keys().collect();
-        assert_eq!(names, ["a", "b"]);
-        assert_eq!(snap.histograms["z"].count, 1);
+        assert_eq!(names, ["engine.cache.hit", "serve.request.ping"]);
+        assert_eq!(snap.histograms["serve.request.latency"].count, 1);
     }
 
     #[test]
     fn prometheus_rendering_contains_quantiles_and_counts() {
         let reg = Registry::new();
-        reg.counter("engine.cache.hit").add(7);
-        reg.gauge("serve.inflight").set(2);
-        let h = reg.histogram("serve.request.latency");
+        reg.counter(ENGINE_CACHE_HIT).add(7);
+        reg.gauge(SERVE_INFLIGHT).set(2);
+        let h = reg.histogram(SERVE_REQUEST_LATENCY);
         for v in [1_000_000u64, 2_000_000, 4_000_000] {
             h.record(v);
         }
@@ -320,9 +342,9 @@ mod tests {
     #[test]
     fn snapshot_round_trips_through_serde() {
         let reg = Registry::new();
-        reg.counter("c.one").add(11);
-        reg.gauge("g.one").set(-3);
-        let h = reg.histogram("h.one");
+        reg.counter(ENGINE_CACHE_HIT).add(11);
+        reg.gauge(SERVE_INFLIGHT).set(-3);
+        let h = reg.histogram(SERVE_REQUEST_LATENCY);
         for v in [1u64, 2, 3, 4, 1 << 30] {
             h.record(v);
         }

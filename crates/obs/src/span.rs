@@ -1,6 +1,6 @@
 //! Lightweight spans and the Chrome trace-event export.
 //!
-//! [`Span::enter("engine.batch")`](Span::enter) returns an RAII guard;
+//! [`Span::enter(ENGINE_BATCH)`](Span::enter) returns an RAII guard;
 //! when it drops, one complete-event record (name, start, duration,
 //! thread) lands in a bounded process-wide ring buffer. The ring holds
 //! the most recent [`TRACE_CAPACITY`] spans — old entries are overwritten
@@ -13,9 +13,11 @@
 //! `chrome://tracing` and [Perfetto](https://ui.perfetto.dev). The CLI
 //! exposes it as `ddtr … --trace-json <file>`.
 //!
-//! Span names are `&'static str` by design: recording costs one `Instant`
-//! read at enter and one ring slot at drop, with no allocation.
+//! Span names are cataloged [`Name`]s over `&'static str`: recording
+//! costs one `Instant` read at enter and one ring slot at drop, with no
+//! allocation.
 
+use crate::names::Name;
 use serde::Serialize;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -77,7 +79,8 @@ pub struct Span {
 impl Span {
     /// Opens a span; the returned guard records it when dropped.
     #[must_use]
-    pub fn enter(name: &'static str) -> Span {
+    pub fn enter(name: Name) -> Span {
+        let name = name.as_str();
         if !crate::enabled() {
             return Span { name, start: None };
         }
@@ -198,15 +201,16 @@ pub fn write_chrome_trace(path: &Path) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::names::{CORE_STEP1, CORE_STEP2, ENGINE_BATCH, ENGINE_EXECUTE};
 
     #[test]
     fn spans_record_and_export_structurally_valid_trace_json() {
         {
-            let _outer = Span::enter("test.outer");
-            let _inner = Span::enter("test.inner");
+            let _outer = Span::enter(CORE_STEP1);
+            let _inner = Span::enter(CORE_STEP2);
         }
         std::thread::spawn(|| {
-            let _s = Span::enter("test.worker");
+            let _s = Span::enter(ENGINE_EXECUTE);
         })
         .join()
         .expect("worker");
@@ -246,7 +250,7 @@ mod tests {
 
     #[test]
     fn write_chrome_trace_creates_a_loadable_file() {
-        let _s = Span::enter("test.file");
+        let _s = Span::enter(ENGINE_BATCH);
         drop(_s);
         let dir = std::env::temp_dir().join(format!("ddtr-obs-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("tmp dir");

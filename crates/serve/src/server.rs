@@ -28,6 +28,8 @@ use crate::protocol::{
 };
 use ddtr_core::{dispatch_observed, CacheStats, ExploreError};
 use ddtr_engine::{BatchControl, EngineConfig, EngineError, EngineSession};
+use ddtr_obs::names::{self, Name};
+use ddtr_obs::Gauge;
 use std::any::Any;
 use std::collections::HashMap;
 use std::fmt;
@@ -179,27 +181,27 @@ impl<W: Write> ConnWriter<W> {
 }
 
 /// The variant counter a request increments (docs/OBSERVABILITY.md).
-fn request_counter(body: &RequestBody) -> &'static str {
+fn request_counter(body: &RequestBody) -> Name {
     match body {
-        RequestBody::Hello { .. } => "serve.request.hello",
-        RequestBody::Ping => "serve.request.ping",
-        RequestBody::Stats => "serve.request.stats",
-        RequestBody::Metrics => "serve.request.metrics",
-        RequestBody::Run(_) => "serve.request.run",
-        RequestBody::Cancel { .. } => "serve.request.cancel",
-        RequestBody::Shutdown => "serve.request.shutdown",
+        RequestBody::Hello { .. } => names::SERVE_REQUEST_HELLO,
+        RequestBody::Ping => names::SERVE_REQUEST_PING,
+        RequestBody::Stats => names::SERVE_REQUEST_STATS,
+        RequestBody::Metrics => names::SERVE_REQUEST_METRICS,
+        RequestBody::Run(_) => names::SERVE_REQUEST_RUN,
+        RequestBody::Cancel { .. } => names::SERVE_REQUEST_CANCEL,
+        RequestBody::Shutdown => names::SERVE_REQUEST_SHUTDOWN,
     }
 }
 
 /// The edge-rejection counter a structured error bumps, when the code
 /// marks an edge limit rather than a request-level failure
 /// (docs/OBSERVABILITY.md).
-fn reject_counter(code: ErrorCode) -> Option<&'static str> {
+fn reject_counter(code: ErrorCode) -> Option<Name> {
     match code {
-        ErrorCode::AuthRequired | ErrorCode::AuthFailed => Some("serve.reject.auth"),
-        ErrorCode::RateLimited => Some("serve.reject.rate"),
-        ErrorCode::TooLarge => Some("serve.reject.oversize"),
-        ErrorCode::Overloaded => Some("serve.reject.overload"),
+        ErrorCode::AuthRequired | ErrorCode::AuthFailed => Some(names::SERVE_REJECT_AUTH),
+        ErrorCode::RateLimited => Some(names::SERVE_REJECT_RATE),
+        ErrorCode::TooLarge => Some(names::SERVE_REJECT_OVERSIZE),
+        ErrorCode::Overloaded => Some(names::SERVE_REJECT_OVERLOAD),
         _ => None,
     }
 }
@@ -217,7 +219,7 @@ fn panic_message(payload: &(dyn Any + Send)) -> &str {
 /// Records one end-to-end request latency sample: receipt of the request
 /// line to emission of its terminal event.
 fn record_latency(arrived: std::time::Instant) {
-    ddtr_obs::histogram("serve.request.latency").record_duration(arrived.elapsed());
+    ddtr_obs::histogram(names::SERVE_REQUEST_LATENCY).record_duration(arrived.elapsed());
 }
 
 /// The long-running exploration server: a fleet of worker sessions
@@ -232,9 +234,9 @@ pub struct Server {
     session: EngineSession,
     /// Workers 1…N-1.
     extra: Vec<EngineSession>,
-    /// Pre-rendered per-worker gauge names (`serve.worker<N>.inflight`),
-    /// one allocation at startup instead of one per request.
-    worker_gauges: Vec<String>,
+    /// Per-worker in-flight gauges (`serve.worker<N>.inflight`), resolved
+    /// once at startup so a `Run` formats and looks up no name.
+    worker_gauges: Vec<Arc<Gauge>>,
     conns: ConnGate,
     shutdown: AtomicBool,
 }
@@ -267,7 +269,7 @@ impl Server {
             true => EngineSession::new(cfg.engine.clone())?,
         };
         let worker_gauges = (0..=workers.len())
-            .map(|i| format!("serve.worker{i}.inflight"))
+            .map(|i| ddtr_obs::indexed_gauge(names::SERVE_WORKER_INFLIGHT, i))
             .collect();
         let conns = ConnGate::new(cfg.max_connections);
         Ok(Server {
@@ -350,7 +352,7 @@ impl Server {
         W: Write + Send + 'static,
     {
         let writer = Arc::new(ConnWriter::new(writer));
-        ddtr_obs::gauge("serve.conn.active").inc();
+        ddtr_obs::gauge(names::SERVE_CONN_ACTIVE).inc();
         writer.emit(&Event::Hello {
             protocol: PROTOCOL_VERSION,
             server: format!("ddtr_serve {}", env!("CARGO_PKG_VERSION")),
@@ -381,7 +383,7 @@ impl Server {
                         continue;
                     }
                     Ok(RequestLine::NotUtf8) => {
-                        ddtr_obs::counter("serve.request.malformed").inc();
+                        ddtr_obs::counter(names::SERVE_REQUEST_MALFORMED).inc();
                         writer.emit_error(
                             None,
                             ErrorCode::Parse,
@@ -397,7 +399,7 @@ impl Server {
                 let request: Request = match serde_json::from_str(&line) {
                     Ok(request) => request,
                     Err(e) => {
-                        ddtr_obs::counter("serve.request.malformed").inc();
+                        ddtr_obs::counter(names::SERVE_REQUEST_MALFORMED).inc();
                         writer.emit_error(
                             None,
                             ErrorCode::Parse,
@@ -583,7 +585,7 @@ impl Server {
                         // in-memory cache.
                         let worker_idx = self.route(&explore);
                         let session = self.worker(worker_idx);
-                        let worker_gauge = self.worker_gauges.get(worker_idx).map(String::as_str);
+                        let worker_gauge = self.worker_gauges.get(worker_idx);
                         writer.emit(&Event::Queued { id: id.clone() });
                         // Progress observer: emits monotone `Running`
                         // lines, throttled to ~1% steps (plus every
@@ -628,12 +630,12 @@ impl Server {
                         let running = Arc::clone(&running);
                         running.fetch_add(1, Ordering::SeqCst);
                         let queued_at = std::time::Instant::now();
-                        ddtr_obs::gauge("serve.inflight").inc();
+                        ddtr_obs::gauge(names::SERVE_INFLIGHT).inc();
                         if let Some(gauge) = worker_gauge {
-                            ddtr_obs::gauge(gauge).inc();
+                            gauge.inc();
                         }
                         scope.spawn(move || {
-                            ddtr_obs::histogram("serve.request.queue_wait")
+                            ddtr_obs::histogram(names::SERVE_REQUEST_QUEUE_WAIT)
                                 .record_duration(queued_at.elapsed());
                             let mut engine = session.engine_with(control);
                             // Sweep requests additionally stream one
@@ -684,9 +686,9 @@ impl Server {
                             };
                             result_writer.emit(&event);
                             running.fetch_sub(1, Ordering::SeqCst);
-                            ddtr_obs::gauge("serve.inflight").dec();
+                            ddtr_obs::gauge(names::SERVE_INFLIGHT).dec();
                             if let Some(gauge) = worker_gauge {
-                                ddtr_obs::gauge(gauge).dec();
+                                gauge.dec();
                             }
                             record_latency(arrived);
                         });
@@ -700,7 +702,7 @@ impl Server {
             // the moment a progress write fails.
         });
         writer.emit(&Event::Bye);
-        ddtr_obs::gauge("serve.conn.active").dec();
+        ddtr_obs::gauge(names::SERVE_CONN_ACTIVE).dec();
     }
 
     /// Greets and immediately turns away a connection the gate has no

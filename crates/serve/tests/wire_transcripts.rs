@@ -16,7 +16,8 @@
 //! Every variant of the wire enums must appear on some line: the
 //! exhaustive matches behind `variants!` do not compile until a new
 //! variant is named there, and the coverage test then fails until a line
-//! carries it.
+//! carries it. Every `RequestBody` and `Event` variant must also appear
+//! as a word in `docs/PROTOCOL.md`, which clients are written against.
 //!
 //! To record a new shape, append a line. To retire a key that old peers
 //! still send, name it in [`RETIRED`].
@@ -29,6 +30,7 @@ use std::collections::BTreeSet;
 
 const REQUESTS: &str = include_str!("data/wire_requests.jsonl");
 const EVENTS: &str = include_str!("data/wire_events.jsonl");
+const PROTOCOL_DOC: &str = include_str!("../../../docs/PROTOCOL.md");
 
 /// Keys that old peers send and today's types drop on decode.
 const RETIRED: &[&str] = &[
@@ -174,5 +176,22 @@ fn every_wire_variant_has_a_line() {
     assert!(
         missing.is_empty(),
         "no transcript line carries {missing:?}: record each by appending a line"
+    );
+
+    let words: BTreeSet<&str> = PROTOCOL_DOC
+        .split(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .collect();
+    let undocumented: Vec<String> = [("RequestBody", &bodies[..]), ("Event", &events[..])]
+        .into_iter()
+        .flat_map(|(ty, names)| {
+            names
+                .iter()
+                .filter(|name| !words.contains(**name))
+                .map(move |name| format!("{ty}::{name}"))
+        })
+        .collect();
+    assert!(
+        undocumented.is_empty(),
+        "docs/PROTOCOL.md does not mention {undocumented:?}"
     );
 }
