@@ -1926,8 +1926,8 @@ mod tests {
         let stale: Vec<_> = rows.iter().filter(|r| !names.contains(r)).collect();
         assert!(
             undocumented.is_empty() && stale.is_empty(),
-            "README's subcommand table lacks {undocumented:?} and lists {stale:?}, \
-             which the CLI does not dispatch"
+            "commands missing from README's subcommand table: {undocumented:?}; \
+             README rows the CLI does not dispatch: {stale:?}"
         );
         for name in names {
             assert!(

@@ -241,30 +241,6 @@ pub fn fingerprint_stream_spec(spec: &StreamSpec) -> u64 {
     fnv1a64(format!("stream:{json}").as_bytes())
 }
 
-// Everything `fingerprint_value`/`fingerprint_stream_spec` serialise into a
-// cache identity, field by field. `ddtr-lint`'s cache-key-coverage rule
-// cross-checks this manifest against the real struct definitions: adding a
-// field to any of these structs (or hiding one with `#[serde(skip)]`)
-// fails the lint until the manifest — and therefore this file, where
-// `CACHE_FORMAT_VERSION` lives — is revisited. That is the point: a field
-// that changes simulation semantics must also bump the format version.
-//
-// ddtr-lint: cache-key-coverage begin
-// AppParams @ crates/apps/src/params.rs: route_table_size, firewall_rules, drr_quantum, url_patterns, nat_ports, table_cap, seed
-// MemoryConfig @ crates/mem/src/config.rs: l1, l2, spm, dram, alloc_cost, fit_policy, cpu_op_cycles, heap_base
-// CacheConfig @ crates/mem/src/config.rs: capacity_bytes, line_bytes, ways, hit_cycles, replacement
-// SpmConfig @ crates/mem/src/config.rs: capacity_bytes, access_cycles
-// DramConfig @ crates/mem/src/config.rs: access_cycles, capacity_bytes
-// AllocCostModel @ crates/mem/src/config.rs: accesses_per_alloc, accesses_per_free, cycles_per_alloc, cycles_per_free
-// TraceSpec @ crates/trace/src/spec.rs: name, nodes, mean_rate_pps, sizes, flows, flow_skew, url_fraction, burstiness, seed
-// SizeProfile @ crates/trace/src/spec.rs: small, medium, large, mtu
-// BurstProfile @ crates/trace/src/spec.rs: mean_burst_pkts, off_gap_factor, locality
-// StreamSpec @ crates/trace/src/stream.rs: name, phases
-// StreamPhase @ crates/trace/src/stream.rs: spec, packets
-// Trace @ crates/trace/src/packet.rs: network, packets
-// Packet @ crates/trace/src/packet.rs: ts_us, src, dst, sport, dport, proto, bytes, payload
-// ddtr-lint: cache-key-coverage end
-
 #[cfg(test)]
 mod tests {
     use super::*;

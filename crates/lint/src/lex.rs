@@ -41,8 +41,7 @@ pub struct Tok {
     pub kind: TokKind,
     /// `Ident`/`Lifetime`/`Num`/`Punct`: the token text verbatim.
     /// `Str`/`Char`: the literal's *contents* (prefix, hashes and
-    /// delimiters stripped, escapes kept raw) — what `doc-drift` reads
-    /// metric names out of.
+    /// delimiters stripped, escapes kept raw).
     pub text: String,
     /// 1-based line of the first character.
     pub line: usize,

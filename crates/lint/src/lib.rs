@@ -4,32 +4,30 @@
 //! The repo's core guarantees — byte-identical Pareto fronts at any
 //! `--jobs`, NaN-safe float ordering, structured errors (never panics)
 //! across the serve protocol boundary, mutex guards never held across
-//! blocking I/O, lock acquisitions that cannot deadlock, docs that match
-//! the code, and `CacheKey` fingerprints that cover every config field —
-//! were enforced by hand audit at first, and had already started
-//! regressing. This crate mechanizes them as seven rules (see [`rules`])
-//! that run in milliseconds on every CI push:
+//! blocking I/O and lock acquisitions that cannot deadlock — were
+//! enforced by hand audit at first, and had already started regressing.
+//! This crate mechanizes them as five rules (see [`rules`]) that run in
+//! milliseconds on every CI push:
 //!
 //! | rule | invariant |
 //! |------|-----------|
 //! | `float-ord` | comparators use `f64::total_cmp`, never `partial_cmp` |
 //! | `no-panic-boundary` | serve/dispatch request paths return structured errors |
 //! | `det-iter` | no hash-order iteration in determinism-critical modules |
-//! | `cache-key-coverage` | config fields are declared fingerprint-covered in key.rs |
 //! | `lock-across-io` | no mutex guard held across write/flush in crates/serve |
 //! | `lock-order` | no acquisition cycles; no guard held across a pool-blocking call |
-//! | `doc-drift` | metric names, protocol variants and CLI verbs match their docs |
 //!
-//! Wire compatibility is not a lint: recorded transcripts pin it
-//! (`crates/serve/tests/wire_transcripts.rs`).
+//! Contracts the compiler or a plain test can hold are not lints.
+//! Recorded transcripts pin wire compatibility
+//! (`crates/serve/tests/wire_transcripts.rs`); `docs/LINTS.md` says where
+//! the retired doc and cache-key checks now live.
 //!
 //! The checker is deliberately dependency-light (no `syn`, like the
 //! repo's hand-written vendored serde derive): a small Rust lexer
 //! ([`lex`]) turns each file into tokens — raw strings, nested block
 //! comments and char-vs-lifetime handled for real — and a brace-scope
-//! parser ([`scope`]) recovers functions, impls, fields and attributes
-//! for the rules to match on. False positives are handled by per-line
-//! waivers:
+//! parser ([`scope`]) recovers functions, impls and attributes for the
+//! rules to match on. False positives are handled by per-line waivers:
 //!
 //! ```text
 //! // ddtr-lint: allow(det-iter) — keys are collected and sorted below
@@ -51,26 +49,6 @@ pub use source::SourceFile;
 
 use std::path::{Path, PathBuf};
 
-/// One markdown document the `doc-drift` rule cross-checks against code.
-#[derive(Debug)]
-pub struct DocFile {
-    /// Workspace-relative path (`README.md`, `docs/OBSERVABILITY.md`).
-    pub path: String,
-    /// The document's lines, verbatim.
-    pub lines: Vec<String>,
-}
-
-impl DocFile {
-    /// Builds a doc from in-memory text (fixtures).
-    #[must_use]
-    pub fn from_text(path: &str, text: &str) -> DocFile {
-        DocFile {
-            path: path.to_string(),
-            lines: text.lines().map(str::to_string).collect(),
-        }
-    }
-}
-
 /// The preprocessed source set of one workspace.
 #[derive(Debug)]
 pub struct Workspace {
@@ -78,8 +56,6 @@ pub struct Workspace {
     pub root: PathBuf,
     /// Preprocessed files, sorted by path for deterministic output.
     pub files: Vec<SourceFile>,
-    /// Markdown documents (`README.md` plus `docs/*.md`), sorted by path.
-    pub docs: Vec<DocFile>,
 }
 
 /// Directories scanned inside the root and inside each `crates/*` member.
@@ -125,11 +101,9 @@ impl Workspace {
                 .join("/");
             files.push(SourceFile::load(&root.join(&rel), &rel_str)?);
         }
-        let docs = load_docs(root)?;
         Ok(Workspace {
             root: root.to_path_buf(),
             files,
-            docs,
         })
     }
 
@@ -140,49 +114,8 @@ impl Workspace {
         Workspace {
             root: PathBuf::new(),
             files,
-            docs: Vec::new(),
         }
     }
-
-    /// Like [`Workspace::from_files`], with markdown docs for the
-    /// `doc-drift` fixture tests.
-    #[must_use]
-    pub fn from_files_and_docs(files: Vec<SourceFile>, docs: Vec<DocFile>) -> Workspace {
-        Workspace {
-            root: PathBuf::new(),
-            files,
-            docs,
-        }
-    }
-}
-
-/// Loads `README.md` and `docs/*.md` for the `doc-drift` rule.
-fn load_docs(root: &Path) -> std::io::Result<Vec<DocFile>> {
-    let mut docs = Vec::new();
-    let readme = root.join("README.md");
-    if readme.is_file() {
-        docs.push(DocFile::from_text(
-            "README.md",
-            &std::fs::read_to_string(&readme)?,
-        ));
-    }
-    let docs_dir = root.join("docs");
-    if docs_dir.is_dir() {
-        let mut entries: Vec<_> = std::fs::read_dir(&docs_dir)?
-            .filter_map(Result::ok)
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|e| e == "md"))
-            .collect();
-        entries.sort();
-        for path in entries {
-            let name = path.file_name().unwrap_or_default().to_string_lossy();
-            docs.push(DocFile::from_text(
-                &format!("docs/{name}"),
-                &std::fs::read_to_string(&path)?,
-            ));
-        }
-    }
-    Ok(docs)
 }
 
 /// Recursively collects `.rs` files under `dir` (absolute), recording

@@ -1,28 +1,25 @@
 //! The rule catalog.
 //!
 //! Every rule implements [`Rule`] over the whole [`Workspace`] (most scan
-//! file by file; `cache-key-coverage` is genuinely cross-file,
-//! `lock-order` is inter-procedural, `doc-drift` crosses into markdown). The checker in [`crate::run`] applies waivers afterwards,
-//! so rules report every raw violation they see.
+//! file by file; `lock-order` is inter-procedural). The checker in
+//! [`crate::run`] applies waivers afterwards, so rules report every raw
+//! violation they see.
 //!
 //! Path scoping lives in one declarative [`SCOPES`] table instead of a
 //! private predicate per rule, so "which rule watches which files" is a
-//! single diffable surface — `docs/LINTS.md` mirrors it verbatim.
+//! single diffable surface; each rule's section of `docs/LINTS.md` names
+//! its scope.
 
 use crate::diag::Finding;
 use crate::Workspace;
 
-mod cache_key;
 mod det_iter;
-mod doc_drift;
 mod float_ord;
 mod lock_io;
 mod lock_order;
 mod no_panic;
 
-pub use cache_key::CacheKeyCoverage;
 pub use det_iter::DetIter;
-pub use doc_drift::DocDrift;
 pub use float_ord::FloatOrd;
 pub use lock_io::LockAcrossIo;
 pub use lock_order::LockOrder;
@@ -45,10 +42,8 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
         Box::new(FloatOrd),
         Box::new(NoPanicBoundary),
         Box::new(DetIter),
-        Box::new(CacheKeyCoverage),
         Box::new(LockAcrossIo),
         Box::new(LockOrder),
-        Box::new(DocDrift),
     ]
 }
 
@@ -62,10 +57,8 @@ pub struct Scope {
     pub files: &'static [&'static str],
 }
 
-/// Which rule watches which files, declaratively. `float-ord` and
-/// `cache-key-coverage` are absent on purpose: the first is
-/// workspace-wide, the second anchors on a manifest file of its own
-/// (`engine/src/key.rs`).
+/// Which rule watches which files, declaratively. `float-ord` is absent
+/// on purpose: it is workspace-wide.
 ///
 /// Scope rationale, kept with the data it explains:
 ///
@@ -80,8 +73,6 @@ pub struct Scope {
 /// * `lock-across-io` / `lock-order` — every crate that holds long-lived
 ///   mutexes (`serve` connection + inflight state, `obs` registries,
 ///   `engine` cache and jobs pool).
-/// * `doc-drift` — the crates whose metric/span names and CLI surface the
-///   shipped docs catalog.
 pub const SCOPES: &[(&str, Scope)] = &[
     (
         "no-panic-boundary",
@@ -121,19 +112,6 @@ pub const SCOPES: &[(&str, Scope)] = &[
         "lock-order",
         Scope {
             prefixes: &["crates/engine/src/", "crates/serve/src/", "crates/obs/src/"],
-            files: &[],
-        },
-    ),
-    (
-        "doc-drift",
-        Scope {
-            prefixes: &[
-                "crates/engine/src/",
-                "crates/serve/src/",
-                "crates/obs/src/",
-                "crates/core/src/",
-                "crates/cli/src/",
-            ],
             files: &[],
         },
     ),

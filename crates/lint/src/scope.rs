@@ -1,9 +1,9 @@
 //! A lightweight item parser over the token stream.
 //!
 //! Rules that reason about *shape* — which functions exist (and on which
-//! impl type), where their bodies start and end, what fields a struct
-//! carries, which items are `#[cfg(test)]` — get it from
-//! here instead of re-deriving it from line heuristics. The parser is
+//! impl type), where their bodies start and end, which items are
+//! `#[cfg(test)]` — get it from here instead of re-deriving it from line
+//! heuristics. The parser is
 //! deliberately partial: it tracks items, attributes, visibility,
 //! impl/mod/trait nesting and brace-balanced bodies, and skips anything
 //! it does not understand one token at a time. Because it walks the
@@ -30,27 +30,6 @@ pub enum ItemKind {
     Trait,
 }
 
-/// One named field of a struct.
-#[derive(Debug, Clone)]
-pub struct FieldDef {
-    /// Field name.
-    pub name: String,
-    /// Attributes as `(1-based line, text concatenated token-wise)`:
-    /// `(3, "#[serde(default)]")`.
-    pub attrs: Vec<(usize, String)>,
-    /// 1-based line of the field name.
-    pub line: usize,
-}
-
-/// One enum variant.
-#[derive(Debug, Clone)]
-pub struct VariantDef {
-    /// Variant name.
-    pub name: String,
-    /// 1-based line of the variant name.
-    pub line: usize,
-}
-
 /// One parsed item.
 #[derive(Debug, Clone)]
 pub struct Item {
@@ -68,10 +47,6 @@ pub struct Item {
     pub end_line: usize,
     /// Token index range of the `{ … }` body, braces excluded.
     pub body: Option<std::ops::Range<usize>>,
-    /// Named fields (structs only).
-    pub fields: Vec<FieldDef>,
-    /// Variants (enums only).
-    pub variants: Vec<VariantDef>,
     /// Inside a `#[cfg(test)]` item (directly or via an enclosing item).
     pub is_test: bool,
 }
@@ -95,14 +70,6 @@ impl FileScope {
     /// All functions, in source order.
     pub fn fns(&self) -> impl Iterator<Item = &Item> {
         self.items.iter().filter(|i| i.kind == ItemKind::Fn)
-    }
-
-    /// The struct or enum named `name`, if any (non-test preferred).
-    #[must_use]
-    pub fn type_item(&self, name: &str) -> Option<&Item> {
-        self.items
-            .iter()
-            .find(|i| matches!(i.kind, ItemKind::Struct | ItemKind::Enum) && i.name == name)
     }
 }
 
@@ -308,8 +275,6 @@ fn parse_fn(
         start_line: attr_line,
         end_line,
         body,
-        fields: Vec::new(),
-        variants: Vec::new(),
         is_test,
     });
     past
@@ -334,14 +299,6 @@ fn parse_type_item(
     let end_line = toks
         .get(past.saturating_sub(1))
         .map_or(attr_line, |t| t.end_line);
-    let (mut fields, mut variants) = (Vec::new(), Vec::new());
-    if let Some(range) = &body {
-        if is_enum {
-            variants = parse_variants(toks, range.clone());
-        } else {
-            fields = parse_fields(toks, range.clone());
-        }
-    }
     out.push(Item {
         kind: if is_enum {
             ItemKind::Enum
@@ -354,8 +311,6 @@ fn parse_type_item(
         start_line: attr_line,
         end_line,
         body,
-        fields,
-        variants,
         is_test,
     });
     past
@@ -416,8 +371,6 @@ fn parse_impl(
         start_line: attr_line,
         end_line,
         body: body.clone(),
-        fields: Vec::new(),
-        variants: Vec::new(),
         is_test,
     });
     if let Some(range) = body {
@@ -457,8 +410,6 @@ fn parse_mod_or_trait(
         start_line: attr_line,
         end_line,
         body: body.clone(),
-        fields: Vec::new(),
-        variants: Vec::new(),
         is_test,
     });
     if let Some(range) = body {
@@ -490,91 +441,6 @@ fn skip_angles(toks: &[Tok], i: usize, end: usize) -> usize {
     j
 }
 
-/// Parses `name: Type` fields of any visibility at depth 0 of a struct
-/// body token range.
-fn parse_fields(toks: &[Tok], range: std::ops::Range<usize>) -> Vec<FieldDef> {
-    let mut fields = Vec::new();
-    let mut i = range.start;
-    let end = range.end;
-    while i < end {
-        let mut attrs = Vec::new();
-        while i < end && toks[i].is_punct('#') {
-            let line = toks[i].line;
-            let (attr, next) = consume_attr(toks, i, end);
-            attrs.push((line, attr));
-            i = next;
-        }
-        if i < end && toks[i].is_ident("pub") {
-            i += 1;
-            if i < end && toks[i].is_punct('(') {
-                i = skip_balanced(toks, i, end, '(', ')');
-            }
-        }
-        if i + 1 < end && toks[i].kind == TokKind::Ident && toks[i + 1].is_punct(':') {
-            let name = toks[i].text.clone();
-            let line = toks[i].line;
-            i += 2;
-            // The type runs to the next `,` at zero nesting depth.
-            let mut depth = 0i64;
-            let mut angles = 0i64;
-            while i < end {
-                let t = &toks[i];
-                if t.is_punct(',') && depth == 0 && angles <= 0 {
-                    i += 1;
-                    break;
-                }
-                if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
-                    depth += 1;
-                } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
-                    depth -= 1;
-                } else if t.is_punct('<') {
-                    angles += 1;
-                } else if t.is_punct('>') && !(i > 0 && toks[i - 1].is_punct('-')) {
-                    angles -= 1;
-                }
-                i += 1;
-            }
-            fields.push(FieldDef { name, attrs, line });
-        } else {
-            i += 1;
-        }
-    }
-    fields
-}
-
-/// Parses enum variants at depth 0 of an enum body token range.
-fn parse_variants(toks: &[Tok], range: std::ops::Range<usize>) -> Vec<VariantDef> {
-    let mut variants = Vec::new();
-    let mut i = range.start;
-    let end = range.end;
-    while i < end {
-        while i < end && toks[i].is_punct('#') {
-            i = consume_attr(toks, i, end).1;
-        }
-        if i >= end || toks[i].kind != TokKind::Ident {
-            i += 1;
-            continue;
-        }
-        variants.push(VariantDef {
-            name: toks[i].text.clone(),
-            line: toks[i].line,
-        });
-        i += 1;
-        // Payload, optional discriminant, then the separating comma.
-        while i < end && !toks[i].is_punct(',') {
-            if toks[i].is_punct('{') {
-                i = skip_balanced(toks, i, end, '{', '}');
-            } else if toks[i].is_punct('(') {
-                i = skip_balanced(toks, i, end, '(', ')');
-            } else {
-                i += 1;
-            }
-        }
-        i += 1; // the comma
-    }
-    variants
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -604,35 +470,6 @@ mod tests {
             ]
         );
         assert!(s.fns().all(|f| f.body.is_some()));
-    }
-
-    #[test]
-    fn structs_collect_fields_with_attrs_and_types() {
-        let s = parse(
-            "pub struct JobSpec {\n\
-                 pub mode: String,\n\
-                 #[serde(default)]\n    pub quick: bool,\n\
-                 pub mem: Option<String>,\n\
-             }\n",
-        );
-        let item = s.type_item("JobSpec").expect("struct");
-        let names: Vec<&str> = item.fields.iter().map(|f| f.name.as_str()).collect();
-        assert_eq!(names, ["mode", "quick", "mem"]);
-        assert_eq!(item.fields[1].attrs, [(3, "#[serde(default)]".to_string())]);
-    }
-
-    #[test]
-    fn enums_collect_variants_and_struct_variant_fields() {
-        let s = parse(
-            "enum Event {\n\
-                 Hello { protocol: u32, jobs: usize },\n\
-                 Run(Box<JobSpec>),\n\
-                 Bye,\n\
-             }\n",
-        );
-        let item = s.type_item("Event").expect("enum");
-        let names: Vec<&str> = item.variants.iter().map(|v| v.name.as_str()).collect();
-        assert_eq!(names, ["Hello", "Run", "Bye"]);
     }
 
     #[test]
