@@ -154,11 +154,10 @@ fn section(lead: &str, header: &str, rows: impl IntoIterator<Item = String>) -> 
     format!("{lead}\n\n{}", table(header, rows))
 }
 
-/// A fenced plain-text block (charts, CSV, log lines) without trailing
-/// blanks.
+/// A fenced plain-text block (charts, CSV, log lines).
 fn text(body: &str) -> String {
-    let lines: Vec<&str> = body.lines().map(str::trim_end).collect();
-    format!("```text\n{}\n```\n", lines.join("\n"))
+    let body = body.strip_suffix('\n').unwrap_or(body);
+    format!("```text\n{body}\n```\n")
 }
 
 fn stream(spec: TraceSpec, packets: usize) -> StreamSpec {

@@ -28,7 +28,7 @@ fn default_candidates() -> Vec<DdtKind> {
 /// let cfg = MethodologyConfig::paper(AppKind::Ipchains);
 /// assert_eq!(cfg.exhaustive_simulations(), 2100);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MethodologyConfig {
     /// The application under exploration.
     pub app: AppKind,

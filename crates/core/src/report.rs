@@ -1,5 +1,6 @@
 //! Report formatting: the paper's tables and figure data.
 
+use crate::config::MethodologyConfig;
 use crate::pipeline::MethodologyOutcome;
 use ddtr_apps::AppKind;
 use ddtr_engine::SimLog;
@@ -71,15 +72,22 @@ pub const PAPER_TABLE2: [(AppKind, [u32; 4]); 4] = [
     (AppKind::Drr, [93, 48, 53, 80]),
 ];
 
-/// The Markdown cells of `app`'s `measured` values, each followed by the
-/// paper's value when `paper` has a row for `app`.
+/// The Markdown cells of `outcome`'s `measured` values, each followed by
+/// the paper's value when `outcome` ran [`MethodologyConfig::paper`] of an
+/// application `paper` has a row for. Any other configuration (quick,
+/// another platform, extended candidates) explores a different space, so
+/// the paper's value beside it would compare unlike runs.
 fn paper_cells<T: Display, const N: usize>(
-    app: AppKind,
+    outcome: &MethodologyOutcome,
     measured: [T; N],
     paper: &[(AppKind, [T; N])],
     unit: &str,
 ) -> String {
-    let paper = paper.iter().find(|row| row.0 == app).map(|row| &row.1);
+    let app = outcome.config.app;
+    let paper = paper
+        .iter()
+        .find(|row| row.0 == app && outcome.config == MethodologyConfig::paper(app))
+        .map(|row| &row.1);
     let cells = measured.iter().enumerate().map(|(i, m)| match paper {
         Some(p) => format!("{m}{unit} (paper: {}{unit})", p[i]),
         None => format!("{m}{unit}"),
@@ -89,7 +97,8 @@ fn paper_cells<T: Display, const N: usize>(
 
 /// The paper's Table 1 ("Reduction of total simulations needed to explore
 /// the design space") in Markdown, one row per outcome, with the paper's
-/// counts beside the measured ones for the applications it reports.
+/// counts beside the measured ones for the paper-sized runs of the
+/// applications it reports.
 #[must_use]
 pub fn table1_markdown(outcomes: &[&MethodologyOutcome]) -> String {
     let mut out = String::from(
@@ -98,7 +107,7 @@ pub fn table1_markdown(outcomes: &[&MethodologyOutcome]) -> String {
     for o in outcomes {
         let (app, c) = (o.config.app, &o.counts);
         let counts = [c.exhaustive, c.reduced, c.pareto_optimal];
-        let cells = paper_cells(app, counts, &PAPER_TABLE1, "");
+        let cells = paper_cells(o, counts, &PAPER_TABLE1, "");
         let _ = writeln!(out, "| {app} | {cells} | {:.0}% |", c.reduction() * 100.0);
     }
     out
@@ -117,14 +126,14 @@ pub fn tradeoff_percentages(outcome: &MethodologyOutcome) -> [u32; 4] {
 
 /// The paper's Table 2 ("Trade-offs achieved among Pareto-optimal points")
 /// in Markdown, with the paper's percentages beside the measured ones for
-/// the applications it reports.
+/// the paper-sized runs of the applications it reports.
 #[must_use]
 pub fn table2_markdown(outcomes: &[&MethodologyOutcome]) -> String {
     let mut out = String::from(
         "| Application | Energy | Exec. Time | Mem. Accesses | Mem. Footprint |\n|---|---|---|---|---|\n",
     );
     for o in outcomes {
-        let cells = paper_cells(o.config.app, tradeoff_percentages(o), &PAPER_TABLE2, "%");
+        let cells = paper_cells(o, tradeoff_percentages(o), &PAPER_TABLE2, "%");
         let _ = writeln!(out, "| {} | {cells} |", o.config.app);
     }
     out
@@ -144,16 +153,25 @@ mod tests {
 
     #[test]
     fn tables_render_markdown() {
-        let o = outcome();
-        let nat = Methodology::new(MethodologyConfig::quick(AppKind::Nat))
+        let quick = outcome();
+        let t1 = table1_markdown(&[&quick]);
+        assert!(t1.contains("Exhaustive"));
+        assert!(t1.contains("| DRR | 200 | "), "{t1}");
+        let t2 = table2_markdown(&[&quick]);
+        assert!(t2.contains("| DRR | "), "{t2}");
+        assert!(!t1.contains("paper") && !t2.contains("paper"), "{t1}{t2}");
+        // The same outcome labelled paper-sized gets the paper's cells;
+        // NAT has none to get.
+        let mut paper = quick;
+        paper.config = MethodologyConfig::paper(AppKind::Drr);
+        let mut nat = Methodology::new(MethodologyConfig::quick(AppKind::Nat))
             .run()
             .expect("pipeline");
-        let t1 = table1_markdown(&[&o, &nat]);
-        assert!(t1.contains("Exhaustive"));
+        nat.config = MethodologyConfig::paper(AppKind::Nat);
+        let t1 = table1_markdown(&[&paper, &nat]);
         assert!(t1.contains("| DRR | 200 (paper: 500) |"), "{t1}");
         assert!(t1.contains("| NAT | 200 | "), "{t1}");
-        let t2 = table2_markdown(&[&o, &nat]);
-        assert!(t2.contains("| DRR | "), "{t2}");
+        let t2 = table2_markdown(&[&paper, &nat]);
         assert!(t2.contains("% (paper: 93%) |"), "{t2}");
         let nat_row = t2
             .lines()

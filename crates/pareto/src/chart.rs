@@ -89,7 +89,7 @@ impl ScatterChart {
         let mut out = String::new();
         let _ = writeln!(out, "{} (min {:.3}, max {:.3})", self.y_label, min_y, max_y);
         for row in &grid {
-            let _ = writeln!(out, "|{}", row.iter().collect::<String>());
+            let _ = writeln!(out, "|{}", row.iter().collect::<String>().trim_end());
         }
         let _ = writeln!(out, "+{}", "-".repeat(self.width));
         let _ = writeln!(
@@ -144,6 +144,12 @@ mod tests {
         let s = chart().render(&[[0.0, 0.0], [1.0, 1.0]]);
         assert!(s.contains('o'));
         assert!(s.contains('.'));
+    }
+
+    #[test]
+    fn no_line_ends_in_a_blank() {
+        let s = chart().render(&[[0.0, 0.0], [1.0, 1.0], [0.2, 0.9]]);
+        assert!(s.lines().all(|l| !l.ends_with(' ')), "{s:?}");
     }
 
     #[test]
