@@ -40,8 +40,6 @@ pub struct Waiver {
 pub struct SourceFile {
     /// Workspace-relative path with `/` separators (stable across hosts).
     pub path: String,
-    /// The file's lines, verbatim.
-    pub raw: Vec<String>,
     /// The lines with comments and literal contents blanked (quote
     /// delimiters are kept so token boundaries survive). Rebuilt from
     /// the token stream.
@@ -80,7 +78,6 @@ impl SourceFile {
         let waivers = collect_waivers(&comments, &code);
         SourceFile {
             path: rel.to_string(),
-            raw,
             code,
             in_test,
             waivers,

@@ -27,7 +27,11 @@ impl Name {
 /// Declares one `pub const` per name and the [`ALL`] list of them.
 macro_rules! catalog {
     ($($(#[$doc:meta])* $konst:ident = $name:literal;)+) => {
-        $($(#[$doc])* pub const $konst: Name = Name($name);)+
+        $(
+            #[doc = concat!("`", $name, "` (see `docs/OBSERVABILITY.md`).")]
+            $(#[$doc])*
+            pub const $konst: Name = Name($name);
+        )+
 
         /// Every cataloged name, in declaration order.
         pub const ALL: &[Name] = &[$($konst),+];
@@ -36,80 +40,47 @@ macro_rules! catalog {
 
 catalog! {
     // Counters.
-    /// Counter: per lookup answered from the session cache.
     ENGINE_CACHE_HIT = "engine.cache.hit";
-    /// Counter: per lookup that must execute a simulation.
     ENGINE_CACHE_MISS = "engine.cache.miss";
-    /// Counter: per entry replayed from the on-disk store at open.
     ENGINE_CACHE_LOAD = "engine.cache.load";
-    /// Counter: per result persisted to the on-disk store.
     ENGINE_CACHE_STORE = "engine.cache.store";
-    /// Counter: per corrupt store header, index entry or record.
     ENGINE_STORE_CORRUPT = "engine.store.corrupt";
-    /// Counter: by the bytes the pile store reads from disk.
     ENGINE_STORE_READ_BYTES = "engine.store.read_bytes";
-    /// Counter: per simulation executed by a worker.
     ENGINE_SIM_EXECUTED = "engine.sim.executed";
-    /// Counter: per parsed `Hello` request.
     SERVE_REQUEST_HELLO = "serve.request.hello";
-    /// Counter: per parsed `Ping` request.
     SERVE_REQUEST_PING = "serve.request.ping";
-    /// Counter: per parsed `Stats` request.
     SERVE_REQUEST_STATS = "serve.request.stats";
-    /// Counter: per parsed `Metrics` request.
     SERVE_REQUEST_METRICS = "serve.request.metrics";
-    /// Counter: per parsed `Run` request.
     SERVE_REQUEST_RUN = "serve.request.run";
-    /// Counter: per parsed `Cancel` request.
     SERVE_REQUEST_CANCEL = "serve.request.cancel";
-    /// Counter: per parsed `Shutdown` request.
     SERVE_REQUEST_SHUTDOWN = "serve.request.shutdown";
-    /// Counter: per unparseable request line.
     SERVE_REQUEST_MALFORMED = "serve.request.malformed";
-    /// Counter: per request refused for missing or wrong auth.
     SERVE_REJECT_AUTH = "serve.reject.auth";
-    /// Counter: per request over the rate budget.
     SERVE_REJECT_RATE = "serve.reject.rate";
-    /// Counter: per request line over the size ceiling.
     SERVE_REJECT_OVERSIZE = "serve.reject.oversize";
-    /// Counter: per request or connection over a capacity bound.
     SERVE_REJECT_OVERLOAD = "serve.reject.overload";
 
     // Gauges.
-    /// Gauge: connections currently being served.
     SERVE_CONN_ACTIVE = "serve.conn.active";
-    /// Gauge: `Run` requests currently executing.
     SERVE_INFLIGHT = "serve.inflight";
-    /// Gauge family, one per fleet worker: its `Run` requests currently
-    /// executing. Resolve a member with [`crate::indexed_gauge`].
+    /// A family, one gauge per fleet worker: resolve a member with
+    /// [`crate::indexed_gauge`].
     SERVE_WORKER_INFLIGHT = "serve.worker<N>.inflight";
 
     // Histograms.
-    /// Histogram: queue wait for a jobs-pool slot, per batch acquire.
     ENGINE_JOBS_POOL_WAIT = "engine.jobs_pool.wait";
-    /// Histogram: request line received to terminal event emitted.
     SERVE_REQUEST_LATENCY = "serve.request.latency";
-    /// Histogram: `Run` accepted to worker starts executing.
     SERVE_REQUEST_QUEUE_WAIT = "serve.request.queue_wait";
 
     // Spans.
-    /// Span: one engine batch end to end.
     ENGINE_BATCH = "engine.batch";
-    /// Span: cache lookup and work scheduling of a batch.
     ENGINE_SCHEDULE = "engine.schedule";
-    /// Span: parallel simulation execution of a batch.
     ENGINE_EXECUTE = "engine.execute";
-    /// Span: step 1a, dominant-DDT profiling.
     CORE_PROFILE = "core.profile";
-    /// Span: step 1, application-level exploration.
     CORE_STEP1 = "core.step1";
-    /// Span: step 2, network-level exploration.
     CORE_STEP2 = "core.step2";
-    /// Span: step 3, Pareto pruning.
     CORE_STEP3 = "core.step3";
-    /// Span: one NSGA-II generation.
     CORE_GA_GENERATION = "core.ga.generation";
-    /// Span: one scenarios × platforms sweep cell.
     CORE_SWEEP_CELL = "core.sweep.cell";
 }
 
