@@ -241,7 +241,8 @@ fn run(args: &[String]) -> Result<(), String> {
     command(&rest)
 }
 
-fn presets(_rest: &[&String]) -> Result<(), String> {
+fn presets(rest: &[&String]) -> Result<(), String> {
+    scan(rest, "presets", &[])?.at_most(0, "presets", "no arguments")?;
     for p in NetworkPreset::ALL {
         let s = p.spec();
         println!(
@@ -252,7 +253,8 @@ fn presets(_rest: &[&String]) -> Result<(), String> {
     Ok(())
 }
 
-fn mem_presets(_rest: &[&String]) -> Result<(), String> {
+fn mem_presets(rest: &[&String]) -> Result<(), String> {
+    scan(rest, "mem-presets", &[])?.at_most(0, "mem-presets", "no arguments")?;
     for p in MemoryPreset::ALL {
         println!("{:10} {}", p.to_string(), p.describe());
     }
@@ -1191,8 +1193,13 @@ fn cache(rest: &[&String]) -> Result<(), String> {
         }
         "import" => {
             let file = file.ok_or("cache import needs a JSONL file path")?;
-            let count = SimCache::import_store(&dir, Path::new(file)).map_err(|e| e.to_string())?;
-            println!("imported  : {count} entries from {file}");
+            let report =
+                SimCache::import_store(&dir, Path::new(file)).map_err(|e| e.to_string())?;
+            println!("imported  : {} entries from {file}", report.imported);
+            println!(
+                "skipped   : {} lines of another format version or not entries",
+                report.skipped
+            );
             Ok(())
         }
         "export" => {
@@ -1414,6 +1421,9 @@ mod tests {
                 &["query", "tcp:127.0.0.1:1", "metrics", "--frobnicate"],
                 "`--frobnicate`",
             ),
+            (&["presets", "--bogus"], "`--bogus`"),
+            (&["presets", "stray"], "no arguments"),
+            (&["mem-presets", "--nope"], "`--nope`"),
             (&["trace", "BWY-I", "10", "extra"], "<preset> <packets>"),
             (&["params", "BWY-I", "10", "extra"], "<preset> <packets>"),
             (

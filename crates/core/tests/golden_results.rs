@@ -22,7 +22,8 @@ use ddtr_core::{
     SweepConfig, SweepMatrix,
 };
 use ddtr_ddt::DdtKind;
-use ddtr_engine::{fnv1a64, ExploreEngine, SimLog};
+use ddtr_engine::testing::TempCacheDir;
+use ddtr_engine::{fnv1a64, EngineConfig, ExploreEngine, SimLog};
 use ddtr_mem::{CostReport, MemoryPreset};
 use ddtr_trace::{NetworkPreset, Scenario};
 
@@ -303,30 +304,36 @@ fn cases() -> Vec<Vec<(String, ExploreRequest)>> {
     groups
 }
 
-/// One row per case and part: `case part digest`.
-fn result_rows() -> Vec<String> {
+/// One row per case and part of `group`, run on `engine`:
+/// `case part digest`.
+fn group_rows(engine: &mut ExploreEngine, group: &[(String, ExploreRequest)]) -> Vec<String> {
     let mut rows = Vec::new();
-    for group in cases() {
-        let mut engine = ExploreEngine::in_memory();
-        for (name, request) in group {
-            let result = dispatch_with(&mut engine, &request)
-                .unwrap_or_else(|e| panic!("case {name} failed: {e}"));
-            for (part, digest) in parts_of(&result) {
-                rows.push(format!("{name} {part} {digest}"));
-            }
+    for (name, request) in group {
+        let result =
+            dispatch_with(engine, request).unwrap_or_else(|e| panic!("case {name} failed: {e}"));
+        for (part, digest) in parts_of(&result) {
+            rows.push(format!("{name} {part} {digest}"));
         }
     }
     rows
 }
 
-#[test]
-fn pipeline_results_match_the_golden_digests() {
+/// Every row, each group on an in-memory engine of its own.
+fn result_rows() -> Vec<String> {
+    cases()
+        .iter()
+        .flat_map(|group| group_rows(&mut ExploreEngine::in_memory(), group))
+        .collect()
+}
+
+/// Fails, naming the case and part, where `actual` differs from the
+/// golden file.
+fn assert_golden(actual: &[String]) {
     let expected: Vec<&str> = GOLDEN
         .lines()
         .filter(|l| !l.is_empty() && !l.starts_with('#'))
         .collect();
-    let actual = result_rows();
-    for (want, got) in expected.iter().zip(&actual) {
+    for (want, got) in expected.iter().zip(actual) {
         let mut fields = want.split(' ');
         let (case, part) = (fields.next().unwrap_or(""), fields.next().unwrap_or(""));
         assert_eq!(
@@ -341,6 +348,40 @@ fn pipeline_results_match_the_golden_digests() {
         expected.len(),
         actual.len()
     );
+}
+
+#[test]
+fn pipeline_results_match_the_golden_digests() {
+    assert_golden(&result_rows());
+}
+
+/// The result store gives the golden rows too: each group runs on a
+/// fresh on-disk store, then again from a fresh engine on the reopened
+/// store, which must answer every unit from its records.
+#[test]
+fn a_reopened_store_replays_the_golden_digests_executing_nothing() {
+    let (mut cold, mut warm) = (Vec::new(), Vec::new());
+    for (g, group) in cases().iter().enumerate() {
+        let tmp = TempCacheDir::new("golden-warm");
+        let cfg = EngineConfig {
+            cache_dir: Some(tmp.path().to_path_buf()),
+            ..EngineConfig::default()
+        };
+        let mut engine = ExploreEngine::new(cfg.clone()).expect("cold engine");
+        cold.extend(group_rows(&mut engine, group));
+        drop(engine);
+        let mut engine = ExploreEngine::new(cfg).expect("warm engine");
+        warm.extend(group_rows(&mut engine, group));
+        let stats = engine.stats();
+        assert_eq!(
+            stats.misses, 0,
+            "group {g} ({}): the warm pass executed {} units",
+            group[0].0, stats.misses
+        );
+        assert!(stats.hits > 0, "group {g}: the warm pass read no records");
+    }
+    assert_golden(&cold);
+    assert_golden(&warm);
 }
 
 #[test]

@@ -430,6 +430,7 @@ impl ExploreEngine {
         // checks the cancel token so an abandoned batch stops promptly.
         let control = &self.control;
         let pool = self.pool.as_deref();
+        let executed_counter = ddtr_obs::counter(ddtr_obs::names::ENGINE_SIM_EXECUTED);
         let execute_span = ddtr_obs::Span::enter(ddtr_obs::names::ENGINE_EXECUTE);
         let executed: Vec<Option<SimLog>> = run_ordered(&to_run, self.cfg.jobs, |&i| {
             if control.is_cancelled() {
@@ -445,7 +446,7 @@ impl ExploreEngine {
             // held permit would stall every other request of the session.
             drop(permit);
             control.add_executed();
-            ddtr_obs::counter(ddtr_obs::names::ENGINE_SIM_EXECUTED).inc();
+            executed_counter.inc();
             Some(log)
         });
         drop(execute_span);

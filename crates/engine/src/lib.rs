@@ -62,7 +62,7 @@ mod sim;
 pub mod store;
 pub mod testing;
 
-pub use cache::{CacheStats, SimCache, CACHE_FILE};
+pub use cache::{CacheStats, ImportReport, SimCache};
 pub use combo::{all_combos, combo_label, combos_from, parse_combo, Combo};
 pub use engine::{
     EngineConfig, EngineError, ExploreEngine, SimUnit, TraceSource, MATERIALIZE_MAX_PACKETS,

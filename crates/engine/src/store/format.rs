@@ -8,7 +8,7 @@
 //! [`CorruptKind`] instead of slicing blind.
 
 use super::{CorruptKind, StoreError};
-use crate::key::fnv1a64;
+use crate::key::{fnv1a64, Fnv, Fnv64};
 
 /// Magic bytes opening every data segment file.
 pub const SEG_MAGIC: [u8; 8] = *b"DDTRPILE";
@@ -208,14 +208,12 @@ impl IdxEntry {
 /// `("ab","c")` and `("a","bc")` distinct).
 #[must_use]
 pub fn record_checksum(key: &[u8], payload: &[u8]) -> u64 {
-    let klen = key.len() as u32;
-    let vlen = payload.len() as u32;
-    let mut bytes = Vec::with_capacity(8 + key.len() + payload.len());
-    bytes.extend_from_slice(&klen.to_le_bytes());
-    bytes.extend_from_slice(key);
-    bytes.extend_from_slice(&vlen.to_le_bytes());
-    bytes.extend_from_slice(payload);
-    fnv1a64(&bytes)
+    let mut h = Fnv64::new();
+    h.u32(key.len() as u32);
+    h.bytes(key);
+    h.u32(payload.len() as u32);
+    h.bytes(payload);
+    h.0
 }
 
 /// The padded on-disk length of a record with the given key and payload

@@ -100,8 +100,9 @@ proptest! {
         let dump = tmp.join("dump.jsonl");
         let exported = SimCache::export_store(tmp.path(), &dump).expect("export");
         let fresh = TempCacheDir::new("prop-import");
-        let imported = SimCache::import_store(fresh.path(), &dump).expect("import");
-        prop_assert_eq!(exported, imported, "every exported line imports");
+        let report = SimCache::import_store(fresh.path(), &dump).expect("import");
+        prop_assert_eq!(exported, report.imported, "every exported line imports");
+        prop_assert_eq!(report.skipped, 0);
         let mut original = PileStore::open(tmp.path()).expect("open original");
         let mut round_tripped = PileStore::open(fresh.path()).expect("open imported");
         for id in &ids {

@@ -167,9 +167,13 @@ impl Registry {
     }
 }
 
-/// The instrument keyed `key` in `map`, created on first use.
+/// The instrument keyed `key` in `map`, created on first use. An
+/// existing instrument is found without allocating its key.
 fn instrument<T: Default>(map: &Mutex<BTreeMap<String, Arc<T>>>, key: &str) -> Arc<T> {
     let mut map = map.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(existing) = map.get(key) {
+        return Arc::clone(existing);
+    }
     Arc::clone(map.entry(key.to_string()).or_default())
 }
 
