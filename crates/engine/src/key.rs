@@ -570,6 +570,30 @@ mod tests {
         assert_ne!(base.id(), other_mem.id());
     }
 
+    /// The key encoding is part of the store format: these values may
+    /// change only together with a `CACHE_FORMAT_VERSION` bump.
+    #[test]
+    fn key_encoding_is_pinned() {
+        let params_fp = fingerprint(&AppParams::default());
+        let mem_fp = fingerprint(&MemoryConfig::default());
+        let key = CacheKey {
+            app: AppKind::Drr,
+            combo: "AR+DLL".into(),
+            config: ConfigKey::new("BWY-I", "q1500"),
+            params_fp,
+            trace_fp: 0x0123_4567_89ab_cdef,
+            mem_fp,
+        };
+        assert_eq!(
+            (params_fp, mem_fp, key.id().as_str()),
+            (
+                0x0d9f_9ac1_2bd2_fad6,
+                0x1df1_1b22_0eb2_5cda,
+                "18195ccdd0757bf2b408ca773c0031ca"
+            )
+        );
+    }
+
     #[test]
     fn cache_key_is_stable_for_identical_inputs() {
         let trace = NetworkPreset::NlanrAix.generate(30);

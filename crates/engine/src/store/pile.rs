@@ -9,7 +9,6 @@ use super::segment::{
 use super::{CorruptKind, StoreError, StoreIssue};
 use crate::key::fnv1a64;
 use std::collections::{BTreeMap, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -50,30 +49,8 @@ struct Loc {
 /// only ever *probed*, never iterated, so hash order cannot leak into
 /// results).
 struct Index {
-    map: HashMap<u64, Vec<Loc>, BuildHasherDefault<FpHasher>>,
+    map: HashMap<u64, Vec<Loc>>,
     records: u64,
-}
-
-/// Hashes the index's keys, which are FNV-1a fingerprints already, with
-/// one multiply instead of SipHash: the index is rebuilt on every open,
-/// so its inserts are on the warm path.
-#[derive(Default)]
-struct FpHasher(u64);
-
-impl Hasher for FpHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(self.0 ^ u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, fp: u64) {
-        self.0 = fp.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    }
 }
 
 /// One discovered segment file. A segment whose header failed
@@ -618,14 +595,13 @@ impl PileStore {
         if self.index.is_some() {
             return Ok(());
         }
-        let mut map: HashMap<u64, Vec<Loc>, BuildHasherDefault<FpHasher>> = HashMap::default();
+        let mut map: HashMap<u64, Vec<Loc>> = HashMap::new();
         let mut records = 0;
         let mut issues = Vec::new();
         for (seg, slot) in self.slots.iter().enumerate() {
             let Some(reader) = &slot.reader else { continue };
             let data_len = reader.data_len().map_err(StoreError::Io)?;
             let entries = load_index(&slot.path, &reader.header, &mut issues);
-            map.reserve(entries.len());
             let mut covered = 0u64;
             for entry in &entries {
                 let end = entry.offset.saturating_add(u64::from(entry.len));

@@ -8,8 +8,8 @@
 //! result any worker persisted warms the whole fleet after a reopen.
 //!
 //! Routing is deterministic: a request's resolved [`ExploreRequest`] is
-//! fingerprinted with the same FNV-1a-over-canonical-JSON family the
-//! engine's `CacheKey` uses, and the fingerprint picks the worker.
+//! fingerprinted by FNV-1a over its canonical JSON
+//! ([`fingerprint_value`]), and the fingerprint picks the worker.
 //! Identical requests therefore always land on the same worker and hit
 //! its warm in-memory cache — a repeated run executes zero simulations
 //! without any cross-worker chatter.
@@ -65,8 +65,7 @@ impl ServerConfig {
 ///
 /// Exposed so tests (and operators debugging placement) can predict
 /// where a request lands: the resolved request's content fingerprint —
-/// the same canonical-JSON FNV-1a family as the engine's `CacheKey` —
-/// modulo the worker count.
+/// FNV-1a over its canonical JSON — modulo the worker count.
 #[must_use]
 pub fn route_worker(request: &ExploreRequest, workers: usize) -> usize {
     if workers <= 1 {
