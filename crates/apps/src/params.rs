@@ -84,13 +84,14 @@ impl AppParams {
     /// A short label describing the app-specific knob of this variant.
     #[must_use]
     pub fn label(&self, kind: AppKind) -> String {
-        match kind {
-            AppKind::Route => format!("radix{}", self.route_table_size),
-            AppKind::Ipchains => format!("rules{}", self.firewall_rules),
-            AppKind::Url => format!("pat{}", self.url_patterns),
-            AppKind::Drr => format!("q{}", self.drr_quantum),
-            AppKind::Nat => format!("ports{}", self.nat_ports),
-        }
+        let (knob, value) = match kind {
+            AppKind::Route => ("radix", self.route_table_size.to_string()),
+            AppKind::Ipchains => ("rules", self.firewall_rules.to_string()),
+            AppKind::Url => ("pat", self.url_patterns.to_string()),
+            AppKind::Drr => ("q", self.drr_quantum.to_string()),
+            AppKind::Nat => ("ports", self.nat_ports.to_string()),
+        };
+        [knob, &value].concat()
     }
 
     /// Validates parameter ranges.

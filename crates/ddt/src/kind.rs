@@ -140,6 +140,25 @@ impl DdtKind {
         !matches!(self, DdtKind::Array | DdtKind::ArrayPtr)
     }
 
+    /// The kind's short name, as the paper's tables print it (`"SLL(AR)"`).
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            DdtKind::Array => "AR",
+            DdtKind::ArrayPtr => "AR(P)",
+            DdtKind::Sll => "SLL",
+            DdtKind::Dll => "DLL",
+            DdtKind::SllRov => "SLL(O)",
+            DdtKind::DllRov => "DLL(O)",
+            DdtKind::SllChunk => "SLL(AR)",
+            DdtKind::DllChunk => "DLL(AR)",
+            DdtKind::SllChunkRov => "SLL(ARO)",
+            DdtKind::DllChunkRov => "DLL(ARO)",
+            DdtKind::Hash => "HSH",
+            DdtKind::Avl => "AVL",
+        }
+    }
+
     /// Stable index of this kind inside [`DdtKind::EXTENDED`]
     /// ([`DdtKind::ALL`] is a prefix, so paper kinds keep indices `0..10`).
     #[must_use]
@@ -153,21 +172,7 @@ impl DdtKind {
 
 impl fmt::Display for DdtKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = match self {
-            DdtKind::Array => "AR",
-            DdtKind::ArrayPtr => "AR(P)",
-            DdtKind::Sll => "SLL",
-            DdtKind::Dll => "DLL",
-            DdtKind::SllRov => "SLL(O)",
-            DdtKind::DllRov => "DLL(O)",
-            DdtKind::SllChunk => "SLL(AR)",
-            DdtKind::DllChunk => "DLL(AR)",
-            DdtKind::SllChunkRov => "SLL(ARO)",
-            DdtKind::DllChunkRov => "DLL(ARO)",
-            DdtKind::Hash => "HSH",
-            DdtKind::Avl => "AVL",
-        };
-        f.write_str(name)
+        f.write_str(self.name())
     }
 }
 

@@ -57,7 +57,7 @@ pub fn combos_from(candidates: &[DdtKind]) -> Vec<Combo> {
 /// Human-readable label of a combination, e.g. `"AR+DLL"`.
 #[must_use]
 pub fn combo_label(combo: Combo) -> String {
-    format!("{}+{}", combo[0], combo[1])
+    [combo[0].name(), "+", combo[1].name()].concat()
 }
 
 /// Parses a label produced by [`combo_label`].

@@ -189,7 +189,7 @@ impl CacheKey {
         } = self;
         let mut h = Fnv128(FNV128_OFFSET);
         h.bytes(KEY_DOMAIN);
-        h.u32(CACHE_FORMAT_VERSION);
+        h.uint(u64::from(CACHE_FORMAT_VERSION));
         h.u8(app_tag(*app));
         h.str(combo);
         h.str(network);
@@ -211,7 +211,7 @@ impl CacheKey {
         for (i, digit) in hex.iter_mut().enumerate() {
             *digit = HEX[(digest >> (124 - 4 * i)) as usize & 0xf];
         }
-        hex.iter().copied().map(char::from).collect()
+        String::from_utf8(hex.to_vec()).expect("hex digits are ASCII")
     }
 }
 
@@ -268,13 +268,20 @@ pub(crate) trait Fnv {
         self.bytes(&v.to_le_bytes());
     }
 
-    fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
+    /// An unsigned integer in LEB128, seven bits a byte: the small values
+    /// most config fields hold hash as one to three bytes instead of
+    /// eight, and the encoding is self-delimiting.
+    fn uint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.u8(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.u8(v as u8);
     }
 
     /// Length-prefixed, so `("ab", "c")` and `("a", "bc")` differ.
     fn str(&mut self, s: &str) {
-        self.usize(s.len());
+        self.uint(s.len() as u64);
         self.bytes(s.as_bytes());
     }
 }
@@ -333,13 +340,13 @@ impl Fingerprint for AppParams {
             table_cap,
             seed,
         } = self;
-        h.usize(*route_table_size);
-        h.usize(*firewall_rules);
-        h.u32(*drr_quantum);
-        h.usize(*url_patterns);
-        h.usize(*nat_ports);
-        h.usize(*table_cap);
-        h.u64(*seed);
+        h.uint(*route_table_size as u64);
+        h.uint(*firewall_rules as u64);
+        h.uint(u64::from(*drr_quantum));
+        h.uint(*url_patterns as u64);
+        h.uint(*nat_ports as u64);
+        h.uint(*table_cap as u64);
+        h.uint(*seed);
     }
 }
 
@@ -361,8 +368,8 @@ impl Fingerprint for MemoryConfig {
         dram.hash_into(h);
         alloc_cost.hash_into(h);
         fit_policy.hash_into(h);
-        h.u64(*cpu_op_cycles);
-        h.u64(*heap_base);
+        h.uint(*cpu_op_cycles);
+        h.uint(*heap_base);
     }
 }
 
@@ -387,10 +394,10 @@ impl Fingerprint for CacheConfig {
             hit_cycles,
             replacement,
         } = self;
-        h.u64(*capacity_bytes);
-        h.u64(*line_bytes);
-        h.u32(*ways);
-        h.u64(*hit_cycles);
+        h.uint(*capacity_bytes);
+        h.uint(*line_bytes);
+        h.uint(u64::from(*ways));
+        h.uint(*hit_cycles);
         replacement.hash_into(h);
     }
 }
@@ -411,8 +418,8 @@ impl Fingerprint for SpmConfig {
             capacity_bytes,
             access_cycles,
         } = self;
-        h.u64(*capacity_bytes);
-        h.u64(*access_cycles);
+        h.uint(*capacity_bytes);
+        h.uint(*access_cycles);
     }
 }
 
@@ -422,8 +429,8 @@ impl Fingerprint for DramConfig {
             access_cycles,
             capacity_bytes,
         } = self;
-        h.u64(*access_cycles);
-        h.u64(*capacity_bytes);
+        h.uint(*access_cycles);
+        h.uint(*capacity_bytes);
     }
 }
 
@@ -435,10 +442,10 @@ impl Fingerprint for AllocCostModel {
             cycles_per_alloc,
             cycles_per_free,
         } = self;
-        h.u64(*accesses_per_alloc);
-        h.u64(*accesses_per_free);
-        h.u64(*cycles_per_alloc);
-        h.u64(*cycles_per_free);
+        h.uint(*accesses_per_alloc);
+        h.uint(*accesses_per_free);
+        h.uint(*cycles_per_alloc);
+        h.uint(*cycles_per_free);
     }
 }
 
@@ -587,9 +594,9 @@ mod tests {
         assert_eq!(
             (params_fp, mem_fp, key.id().as_str()),
             (
-                0x0d9f_9ac1_2bd2_fad6,
-                0x1df1_1b22_0eb2_5cda,
-                "18195ccdd0757bf2b408ca773c0031ca"
+                0xc3d4_4f5c_a726_0f4c,
+                0x008a_6ed6_cb65_344f,
+                "614f94f4262e29a2f9f36a6d128e5f52"
             )
         );
     }
