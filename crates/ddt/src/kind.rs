@@ -140,6 +140,16 @@ impl DdtKind {
         !matches!(self, DdtKind::Array | DdtKind::ArrayPtr)
     }
 
+    /// Stable index of this kind inside [`DdtKind::EXTENDED`]
+    /// ([`DdtKind::ALL`] is a prefix, so paper kinds keep indices `0..10`).
+    #[must_use]
+    pub fn index(self) -> usize {
+        DdtKind::EXTENDED
+            .iter()
+            .position(|&k| k == self)
+            .expect("EXTENDED contains every variant")
+    }
+
     /// The kind's short name, as the paper's tables print it (`"SLL(AR)"`).
     #[must_use]
     pub fn name(self) -> &'static str {
@@ -157,16 +167,6 @@ impl DdtKind {
             DdtKind::Hash => "HSH",
             DdtKind::Avl => "AVL",
         }
-    }
-
-    /// Stable index of this kind inside [`DdtKind::EXTENDED`]
-    /// ([`DdtKind::ALL`] is a prefix, so paper kinds keep indices `0..10`).
-    #[must_use]
-    pub fn index(self) -> usize {
-        DdtKind::EXTENDED
-            .iter()
-            .position(|&k| k == self)
-            .expect("EXTENDED contains every variant")
     }
 }
 

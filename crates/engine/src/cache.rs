@@ -1,20 +1,20 @@
 //! Content-addressed simulation-result cache, persisted in the
 //! [`crate::store`] pile format.
 //!
-//! Every executed simulation is stored under its [`CacheKey::id`]. With a
-//! cache directory attached, entries are appended to a [`PileStore`] —
-//! page-aligned segments, verified on read, O(1) warm open — so a later
-//! process (a re-run of `ddtr explore`, a resumed sweep, a `ddtr serve`
-//! worker, the bench harness) replays hits instead of re-simulating,
-//! without paying a load proportional to cache size. Records are fetched
-//! and verified lazily, on first lookup of each key.
+//! Every executed simulation is stored under its [`CacheKey`] identity.
+//! With a cache directory attached, entries are appended to a
+//! [`PileStore`] — page-aligned segments, verified on read, O(1) warm
+//! open — so a later process (a re-run of `ddtr explore`, a resumed
+//! sweep, a `ddtr serve` worker, the bench harness) replays hits instead
+//! of re-simulating, without paying a load proportional to cache size.
+//! Records are fetched and verified lazily, on first lookup of each key.
 //!
-//! A record's payload is binary, not JSON: a fixed header (the app tag,
-//! the four [`CostReport`] fields as little-endian `u64`s, `energy_nj` by
-//! its bits, and three 16-bit label lengths) followed by the combo,
-//! network and params labels. A hit returns exactly the [`SimLog`] that
-//! was stored. Any payload that does not decode — another format
-//! version's, a damaged one — reads as a miss.
+//! A record's payload is binary: a fixed header (the app tag, the four
+//! [`CostReport`] fields as little-endian `u64`s, `energy_nj` by its
+//! bits, and three 16-bit label lengths) followed by the combo, network
+//! and params labels. A hit returns exactly the [`SimLog`] that was
+//! stored. Any payload that does not decode — another format version's,
+//! a damaged one — reads as a miss.
 //!
 //! JSON lines (one `{"v": …, "id": …, "log": …}` object per line) are the
 //! interchange format of `ddtr cache export`/`import`. Import skips every

@@ -18,9 +18,10 @@
 //!   the interchange lines.
 //!
 //! The parameter and memory fingerprints are written by hand: each hashes
-//! every field straight into FNV-1a, with no JSON in between. Each
-//! destructures its struct without `..` and matches its enum without `_`,
-//! so a new field or variant fails to compile until it is hashed.
+//! every field straight into FNV-1a, numbers as LEB128, with no JSON in
+//! between. Each destructures its struct without `..` and matches its
+//! enum without `_`, so a new field or variant fails to compile until it
+//! is hashed.
 
 use crate::combo::{combo_label, Combo};
 use ddtr_apps::{AppKind, AppParams};
@@ -109,7 +110,7 @@ impl PartialEq<&str> for ConfigKey {
 /// The full content address of one `(application, combination,
 /// configuration)` simulation — the key of the engine's result cache.
 ///
-/// Human-readable labels make keys debuggable; the three fingerprints
+/// Human-readable labels make cache files greppable; the three fingerprints
 /// make the key collision-safe: changing a single packet of the trace, an
 /// application parameter, or the platform memory model changes the key.
 ///
