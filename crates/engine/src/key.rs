@@ -21,7 +21,9 @@
 //! every field straight into FNV-1a, numbers as LEB128, with no JSON in
 //! between. Each destructures its struct without `..` and matches its
 //! enum without `_`, so a new field or variant fails to compile until it
-//! is hashed.
+//! is hashed. The trace and spec fingerprints, computed once per trace or
+//! spec, still hash serde JSON; [`fingerprint_value`] documents why no
+//! field of a trace or spec can hide from them.
 
 use crate::combo::{combo_label, Combo};
 use ddtr_apps::{AppKind, AppParams};
@@ -206,13 +208,7 @@ impl CacheKey {
     /// key and the `id` of an interchange line.
     #[must_use]
     pub fn id(&self) -> String {
-        const HEX: &[u8; 16] = b"0123456789abcdef";
-        let digest = self.digest();
-        let mut hex = [0u8; 32];
-        for (i, digit) in hex.iter_mut().enumerate() {
-            *digit = HEX[(digest >> (124 - 4 * i)) as usize & 0xf];
-        }
-        String::from_utf8(hex.to_vec()).expect("hex digits are ASCII")
+        format!("{:032x}", self.digest())
     }
 }
 
@@ -470,10 +466,31 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 
 /// Content fingerprint of any serialisable value: FNV-1a over its canonical
 /// JSON encoding. Deterministic across runs and processes for a given
-/// build. `ddtr serve` routes a request to a worker by it, and
-/// [`fingerprint_trace`] hashes a trace through it once per batch; a
-/// [`CacheKey`]'s parameter and memory fingerprints are hashed field by
-/// field instead.
+/// build. `ddtr serve` routes a request to a worker by it.
+///
+/// A [`CacheKey`]'s parameter and memory fingerprints are hashed field by
+/// field, but its trace half still relies on this encoding:
+/// [`fingerprint_trace`] hashes a `Trace` through it and
+/// [`fingerprint_stream_spec`] hashes a `StreamSpec`'s JSON, once per
+/// trace or spec. Every field of those types and of the types inside them
+/// (`Packet`, `StreamPhase`, `TraceSpec`) must reach the hash. The
+/// vendored `Serialize` derive (`vendor/serde_derive`) writes every named
+/// field, and it rejects every `#[serde(...)]` argument except `default`,
+/// so no field can hide from the encoding:
+///
+/// ```compile_fail
+/// #[derive(serde::Serialize)]
+/// struct Phase {
+///     packets: u32,
+///     #[serde(skip)]
+///     scratch: u32,
+/// }
+/// ```
+///
+/// Adding, renaming or removing a field of such a type changes every
+/// fingerprint of it, so entries stored before the change go cold instead
+/// of replaying stale results; that needs no [`CACHE_FORMAT_VERSION`]
+/// bump.
 #[must_use]
 pub fn fingerprint_value<T: Serialize>(value: &T) -> u64 {
     let json = serde_json::to_string(value).expect("fingerprinted values serialise");
@@ -493,6 +510,8 @@ pub fn fingerprint_trace(trace: &Trace) -> u64 {
 /// is what lets the cache address million-packet workloads without ever
 /// hashing (or holding) their packets. Domain-separated from trace
 /// fingerprints so a spec hash can never collide with a packet hash.
+/// Every field reaches the hash for the reason [`fingerprint_value`]
+/// gives.
 #[must_use]
 pub fn fingerprint_stream_spec(spec: &StreamSpec) -> u64 {
     let json = serde_json::to_string(spec).expect("stream specs serialise");
