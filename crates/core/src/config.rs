@@ -12,6 +12,26 @@ fn default_candidates() -> Vec<DdtKind> {
     DdtKind::ALL.to_vec()
 }
 
+/// Checks a DDT candidate set, as every exploration mode takes one: at
+/// least two kinds, none of them twice (a repeated kind would explore,
+/// and count, each of its combinations twice).
+pub(crate) fn validate_candidates(candidates: &[DdtKind]) -> Result<(), ExploreError> {
+    if candidates.len() < 2 {
+        return Err(ExploreError::InvalidConfig(
+            "at least two DDT candidates are required".into(),
+        ));
+    }
+    if let Some(kind) = (1..candidates.len())
+        .find(|&i| candidates[..i].contains(&candidates[i]))
+        .map(|i| candidates[i])
+    {
+        return Err(ExploreError::InvalidConfig(format!(
+            "DDT candidates must be distinct ({kind} is listed twice)"
+        )));
+    }
+    Ok(())
+}
+
 /// Everything the three-step pipeline needs to explore one application.
 ///
 /// Use [`MethodologyConfig::paper`] for the full paper-sized sweeps and
@@ -126,11 +146,7 @@ impl MethodologyConfig {
     /// Returns [`ExploreError::InvalidConfig`] describing the first
     /// problem.
     pub fn validate(&self) -> Result<(), ExploreError> {
-        if self.candidates.len() < 2 {
-            return Err(ExploreError::InvalidConfig(
-                "at least two DDT candidates are required".into(),
-            ));
-        }
+        validate_candidates(&self.candidates)?;
         if self.packets_per_sim == 0 {
             return Err(ExploreError::InvalidConfig(
                 "packets_per_sim must be non-zero".into(),
@@ -208,6 +224,42 @@ mod tests {
         v.as_object_mut().expect("object").remove("candidates");
         let cfg: MethodologyConfig = serde_json::from_value(v).expect("de");
         assert_eq!(cfg.candidates, DdtKind::ALL.to_vec());
+    }
+
+    #[test]
+    fn every_mode_rejects_repeated_candidates() {
+        use crate::{GaConfig, ScenarioConfig, SweepConfig};
+        let repeated = vec![DdtKind::Array, DdtKind::Sll, DdtKind::Array];
+        let errors = [
+            MethodologyConfig {
+                candidates: repeated.clone(),
+                ..MethodologyConfig::quick(AppKind::Drr)
+            }
+            .validate(),
+            GaConfig {
+                candidates: repeated.clone(),
+                ..GaConfig::quick(AppKind::Drr)
+            }
+            .validate(),
+            ScenarioConfig {
+                candidates: repeated.clone(),
+                ..ScenarioConfig::quick(NetworkPreset::DartmouthBerry)
+            }
+            .validate(),
+            SweepConfig {
+                candidates: repeated.clone(),
+                ..SweepConfig::quick(NetworkPreset::DartmouthBerry)
+            }
+            .validate(),
+        ];
+        for err in errors {
+            match err {
+                Err(ExploreError::InvalidConfig(msg)) => {
+                    assert!(msg.contains("distinct") && msg.contains("AR"), "{msg}");
+                }
+                other => panic!("repeated candidates accepted: {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -117,11 +117,7 @@ impl GaConfig {
     /// Returns [`ExploreError::InvalidConfig`] describing the first
     /// problem.
     pub fn validate(&self) -> Result<(), ExploreError> {
-        if self.candidates.len() < 2 {
-            return Err(ExploreError::InvalidConfig(
-                "at least two DDT candidates are required".into(),
-            ));
-        }
+        crate::config::validate_candidates(&self.candidates)?;
         if self.population < 4 {
             return Err(ExploreError::InvalidConfig(
                 "population must be at least 4".into(),

@@ -93,11 +93,7 @@ impl ScenarioConfig {
                 "at least one scenario is required".into(),
             ));
         }
-        if self.candidates.len() < 2 {
-            return Err(ExploreError::InvalidConfig(
-                "at least two DDT candidates are required".into(),
-            ));
-        }
+        crate::config::validate_candidates(&self.candidates)?;
         if self.packets_per_sim == 0 {
             return Err(ExploreError::InvalidConfig(
                 "packets_per_sim must be non-zero".into(),

@@ -124,11 +124,7 @@ impl SweepConfig {
         distinct(&self.mem_presets, "memory presets")?;
         distinct(&self.scenarios, "scenarios")?;
         distinct(&self.apps, "applications")?;
-        if self.candidates.len() < 2 {
-            return Err(ExploreError::InvalidConfig(
-                "at least two DDT candidates are required".into(),
-            ));
-        }
+        crate::config::validate_candidates(&self.candidates)?;
         if self.packets_per_sim == 0 {
             return Err(ExploreError::InvalidConfig(
                 "packets_per_sim must be non-zero".into(),
@@ -283,6 +279,14 @@ pub fn explore_sweep_with(
 /// completes — the hook `ddtr serve` streams per-cell progress from.
 /// Cells complete in deterministic `apps × scenarios × presets` order.
 ///
+/// Presets whose configurations differ only in the L2 (`embedded`, `l2`
+/// and `l2-small`; see [`MemoryConfig::lane_base`]) form a lane group.
+/// One engine batch evaluates a group's cells of an (application,
+/// scenario) together, so each combination runs once for the whole group
+/// and its cells complete together.
+///
+/// [`MemoryConfig::lane_base`]: ddtr_mem::MemoryConfig::lane_base
+///
 /// # Errors
 ///
 /// Returns [`ExploreError::InvalidConfig`] when the configuration fails
@@ -294,48 +298,81 @@ pub fn explore_sweep_observed(
 ) -> Result<SweepMatrix, ExploreError> {
     cfg.validate()?;
     let combos = combos_from(&cfg.candidates);
+    let groups = lane_groups(&cfg.mem_presets);
+    let params = &cfg.params;
     let total = cfg.cells();
     let mut cells = Vec::with_capacity(total);
     for &app in &cfg.apps {
         for &scenario in &cfg.scenarios {
             let spec: StreamSpec = scenario.stream_spec(cfg.base, cfg.packets_per_sim);
+            let source = ddtr_engine::TraceSource::Streamed(&spec);
             let fp = fingerprint_stream_spec(&spec);
-            for &mem in &cfg.mem_presets {
-                let _cell_span = ddtr_obs::Span::enter(ddtr_obs::names::CORE_SWEEP_CELL);
-                let mem_cfg = mem.config();
-                let units: Vec<SimUnit> = combos
-                    .iter()
-                    .map(|&combo| {
-                        SimUnit::from_source(
+            let mut ready: Vec<Option<SweepCell>> = vec![None; cfg.mem_presets.len()];
+            for p in 0..cfg.mem_presets.len() {
+                if ready[p].is_none() {
+                    // The first unfinished preset leads its lane group.
+                    let group = groups
+                        .iter()
+                        .find(|g| g[0] == p)
+                        .expect("an unfinished preset leads its lane group");
+                    let _cell_span = ddtr_obs::Span::enter(ddtr_obs::names::CORE_SWEEP_CELL);
+                    let units: Vec<SimUnit> = group
+                        .iter()
+                        .flat_map(|&q| {
+                            let mem_cfg = cfg.mem_presets[q].config();
+                            combos.iter().map(move |&combo| {
+                                SimUnit::from_source(app, combo, params, source, fp, mem_cfg)
+                            })
+                        })
+                        .collect();
+                    let logs = engine.try_evaluate_batch(&units)?;
+                    for (&q, logs) in group.iter().zip(logs.chunks(combos.len())) {
+                        ready[q] = Some(SweepCell {
                             app,
-                            combo,
-                            &cfg.params,
-                            ddtr_engine::TraceSource::Streamed(&spec),
-                            fp,
-                            mem_cfg,
-                        )
-                    })
-                    .collect();
-                let logs = engine.try_evaluate_batch(&units)?;
-                let points: Vec<[f64; 4]> = logs.iter().map(SimLog::objectives).collect();
-                let front: Vec<SimLog> = pareto_front_indices(&points)
-                    .into_iter()
-                    .map(|i| logs[i].clone())
-                    .collect();
-                let cell = SweepCell {
-                    app,
-                    scenario,
-                    mem,
-                    network: spec.name().to_owned(),
-                    evaluations: logs.len(),
-                    front,
-                };
+                            scenario,
+                            mem: cfg.mem_presets[q],
+                            network: spec.name().to_owned(),
+                            evaluations: logs.len(),
+                            front: front_of(logs),
+                        });
+                    }
+                }
+                let cell = ready[p].take().expect("its lane group evaluated the cell");
                 on_cell(&cell, cells.len() + 1, total);
                 cells.push(cell);
             }
         }
     }
     Ok(SweepMatrix::from_cells(cfg.clone(), cells))
+}
+
+/// The presets' lane groups: indices into `presets` of configurations
+/// with equal [`MemoryConfig::lane_base`]s, each group in preset order
+/// and the groups in the order of their first preset.
+///
+/// [`MemoryConfig::lane_base`]: ddtr_mem::MemoryConfig::lane_base
+fn lane_groups(presets: &[MemoryPreset]) -> Vec<Vec<usize>> {
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for (p, preset) in presets.iter().enumerate() {
+        let base = preset.config().lane_base();
+        match groups
+            .iter_mut()
+            .find(|g| presets[g[0]].config().lane_base() == base)
+        {
+            Some(group) => group.push(p),
+            None => groups.push(vec![p]),
+        }
+    }
+    groups
+}
+
+/// The Pareto-optimal logs of one cell, in canonical combination order.
+fn front_of(logs: &[SimLog]) -> Vec<SimLog> {
+    let points: Vec<[f64; 4]> = logs.iter().map(SimLog::objectives).collect();
+    pareto_front_indices(&points)
+        .into_iter()
+        .map(|i| logs[i].clone())
+        .collect()
 }
 
 #[cfg(test)]

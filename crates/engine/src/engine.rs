@@ -208,15 +208,18 @@ impl<'a> SimUnit<'a> {
     }
 
     /// Runs this unit's simulation (used by the engine's worker pool),
-    /// over `shared` when the batch materialized the unit's spec.
-    fn simulate(&self, shared: Option<&Trace>) -> SimLog {
-        let sim = Simulator::new(self.mem);
+    /// over `shared` when the batch materialized the unit's spec, with a
+    /// lane per configuration of `lanes`: this unit's own first, then
+    /// those of units that differ from it only in the L2. Returns one log
+    /// per lane.
+    fn simulate(&self, lanes: Vec<MemoryConfig>, shared: Option<&Trace>) -> Vec<SimLog> {
+        let sim = Simulator::with_lanes(lanes);
         match (self.source, shared) {
             (TraceSource::Materialized(trace), _) | (TraceSource::Streamed(_), Some(trace)) => {
-                sim.run(self.app, self.combo, self.params, trace)
+                sim.run_lanes(self.app, self.combo, self.params, trace)
             }
             (TraceSource::Streamed(spec), None) => {
-                sim.run_spec(self.app, self.combo, self.params, spec)
+                sim.run_spec_lanes(self.app, self.combo, self.params, spec)
             }
         }
     }
@@ -353,7 +356,11 @@ impl ExploreEngine {
     ///
     /// Cached units are answered without simulating; duplicate units within
     /// the batch execute once; the remaining misses run on the engine's
-    /// work-stealing pool. A streamed spec of at most
+    /// work-stealing pool. Misses that differ only in their L2 (same
+    /// application, combination, parameters, source and network, and
+    /// equal [`MemoryConfig::lane_base`]s) run as one pass, a lane each,
+    /// and are keyed, stored and counted one by one, so a partly cached
+    /// group runs only its missing lanes. A streamed spec of at most
     /// [`MATERIALIZE_MAX_PACKETS`] packets that some miss runs on is
     /// generated once and shared by all of them. Equal batches therefore
     /// produce byte-identical results at any worker count, and a warm
@@ -410,6 +417,20 @@ impl ExploreEngine {
                 }
             }
         }
+        // Misses that differ only in their L2 run as the lanes of one
+        // pass. Passes keep the order of their first unit; the map serves
+        // lookups only.
+        let mut passes: Vec<Vec<usize>> = Vec::new();
+        let mut pass_of: HashMap<u128, usize> = HashMap::new();
+        for &i in &to_run {
+            let pass = *pass_of
+                .entry(keys[i].pass_digest(&units[i].mem))
+                .or_insert_with(|| {
+                    passes.push(Vec::new());
+                    passes.len() - 1
+                });
+            passes[pass].push(i);
+        }
         drop(schedule_span);
         self.control.add_hits(hits);
         // Generate each small missed spec once for all its units; the map
@@ -424,15 +445,16 @@ impl ExploreEngine {
                 }
             }
         }
-        // Execute the misses in parallel, deterministically ordered. Each
-        // unit takes a permit from the session's FIFO pool (when bound to
-        // one), so concurrent requests interleave at unit granularity, and
+        // Execute the passes in parallel, deterministically ordered. Each
+        // pass takes a permit from the session's FIFO pool (when bound to
+        // one), so concurrent requests interleave at pass granularity, and
         // checks the cancel token so an abandoned batch stops promptly.
         let control = &self.control;
         let pool = self.pool.as_deref();
         let executed_counter = ddtr_obs::counter(ddtr_obs::names::ENGINE_SIM_EXECUTED);
+        let passes_counter = ddtr_obs::counter(ddtr_obs::names::ENGINE_SIM_PASSES);
         let execute_span = ddtr_obs::Span::enter(ddtr_obs::names::ENGINE_EXECUTE);
-        let executed: Vec<Option<SimLog>> = run_ordered(&to_run, self.cfg.jobs, |&i| {
+        let executed: Vec<Option<Vec<SimLog>>> = run_ordered(&passes, self.cfg.jobs, |pass| {
             if control.is_cancelled() {
                 return None;
             }
@@ -440,48 +462,59 @@ impl ExploreEngine {
             if control.is_cancelled() {
                 return None;
             }
-            let log = units[i].simulate(shared.get(&units[i].trace_fp));
+            let lead = &units[pass[0]];
+            let lanes = pass.iter().map(|&i| units[i].mem).collect();
+            let logs = lead.simulate(lanes, shared.get(&lead.trace_fp));
             // Release the session permit before reporting progress: the
             // observer may block (e.g. writing to a slow client), and a
             // held permit would stall every other request of the session.
             drop(permit);
-            control.add_executed();
-            executed_counter.inc();
-            Some(log)
+            control.add_executed(pass.len());
+            executed_counter.add(pass.len() as u64);
+            passes_counter.inc();
+            Some(logs)
         });
         drop(execute_span);
-        // Record the executions (even on a cancelled batch — completed work
-        // stays reusable), then satisfy duplicates by identity. With
-        // caching disabled, executions are counted but never retained.
         let mut cancelled = false;
-        let mut fresh: HashMap<&str, SimLog> = HashMap::new();
+        for (pass, logs) in passes.iter().zip(executed) {
+            match logs {
+                Some(logs) => {
+                    for (&i, log) in pass.iter().zip(logs) {
+                        results[i] = Some(log);
+                    }
+                }
+                None => cancelled = true,
+            }
+        }
+        // Record the executions in unit order (even on a cancelled batch —
+        // completed work stays reusable). With caching disabled,
+        // executions are counted but never retained.
         {
             let mut cache = self.cache.lock().expect("engine cache poisoned");
-            for (&i, log) in to_run.iter().zip(executed) {
-                let Some(log) = log else {
-                    cancelled = true;
-                    continue;
-                };
+            for &i in &to_run {
+                let Some(log) = &results[i] else { continue };
                 if self.cfg.no_cache {
                     cache.note_miss();
                 } else {
                     cache.insert(&keys[i], log.clone());
                 }
-                fresh.insert(ids[i].as_str(), log);
             }
         }
         if cancelled {
             return Err(Cancelled);
         }
-        // Duplicates of executed units resolve now; count them done.
+        // Duplicates of executed units resolve by identity; count them
+        // done.
         self.control.add_resolved(units.len() - hits - to_run.len());
+        let executor: HashMap<&str, usize> = to_run.iter().map(|&i| (ids[i].as_str(), i)).collect();
+        for i in 0..units.len() {
+            if results[i].is_none() {
+                results[i] = results[executor[ids[i].as_str()]].clone();
+            }
+        }
         Ok(results
             .into_iter()
-            .enumerate()
-            .map(|(i, slot)| match slot {
-                Some(log) => log,
-                None => fresh[ids[i].as_str()].clone(),
-            })
+            .map(|log| log.expect("every unit is a hit, an execution or a duplicate"))
             .collect())
     }
 }
@@ -627,6 +660,55 @@ mod tests {
         // generated or hashed per packet — and the packet count is still
         // part of the identity.
         assert_ne!(unit(&spec_small).key().id(), unit(&spec_large).key().id());
+    }
+
+    #[test]
+    fn lane_groups_match_per_preset_batches_and_run_only_missing_lanes() {
+        use crate::session::{BatchControl, EngineSession};
+        use ddtr_mem::MemoryPreset;
+        use ddtr_trace::StreamSpec;
+        let spec = StreamSpec::single(NetworkPreset::DartmouthBerry.spec(), 60).expect("valid");
+        let params = AppParams::default();
+        let (params, spec) = (&params, &spec);
+        let units_on = |presets: &[MemoryPreset]| -> Vec<SimUnit> {
+            presets
+                .iter()
+                .flat_map(|p| {
+                    let mem = p.config();
+                    combos()
+                        .into_iter()
+                        .map(move |combo| SimUnit::streamed(AppKind::Drr, combo, params, spec, mem))
+                })
+                .collect()
+        };
+        let json = |logs: Vec<SimLog>| -> Vec<String> {
+            logs.iter()
+                .map(serde_json::to_string)
+                .collect::<Result<_, _>>()
+                .expect("ser")
+        };
+        // One preset per batch: every unit runs alone.
+        let reference: Vec<String> = MemoryPreset::ALL
+            .iter()
+            .flat_map(|&p| json(ExploreEngine::with_jobs(1).evaluate_batch(&units_on(&[p]))))
+            .collect();
+        // Every preset in one batch: embedded, l2 and l2-small share passes.
+        let mixed = units_on(&MemoryPreset::ALL);
+        for jobs in [1, 2, 8] {
+            let got = json(ExploreEngine::with_jobs(jobs).evaluate_batch(&mixed));
+            assert_eq!(got, reference, "jobs={jobs}");
+        }
+        // With the l2 lane cached, the group runs only its other lanes.
+        let session = EngineSession::new(EngineConfig::with_jobs(2)).expect("session");
+        session
+            .engine()
+            .evaluate_batch(&units_on(&[MemoryPreset::L2]));
+        let control = BatchControl::new();
+        let got = json(session.engine_with(control.clone()).evaluate_batch(&mixed));
+        assert_eq!(got, reference);
+        let progress = control.progress();
+        assert_eq!(progress.hits, combos().len());
+        assert_eq!(progress.executed, 4 * combos().len());
     }
 
     #[test]

@@ -182,13 +182,26 @@ impl CacheKey {
     /// 128-bit FNV-1a collides.
     #[must_use]
     pub fn digest(&self) -> u128 {
+        self.digest_with(self.mem_fp)
+    }
+
+    /// The digest of the simulation pass this key's unit joins: the
+    /// [`digest`](Self::digest) with `mem`, the unit's configuration,
+    /// reduced to its [`MemoryConfig::lane_base`]. Units with equal pass
+    /// digests differ at most in their L2, so one simulation serves them
+    /// all as lanes.
+    pub(crate) fn pass_digest(&self, mem: &MemoryConfig) -> u128 {
+        self.digest_with(fingerprint(&mem.lane_base()))
+    }
+
+    fn digest_with(&self, mem_fp: u64) -> u128 {
         let CacheKey {
             app,
             combo,
             config: ConfigKey { network, params },
             params_fp,
             trace_fp,
-            mem_fp,
+            mem_fp: _,
         } = self;
         let mut h = Fnv128(FNV128_OFFSET);
         h.bytes(KEY_DOMAIN);
@@ -199,7 +212,7 @@ impl CacheKey {
         h.str(params);
         h.u64(*params_fp);
         h.u64(*trace_fp);
-        h.u64(*mem_fp);
+        h.u64(mem_fp);
         h.0
     }
 

@@ -153,10 +153,11 @@ impl BatchControl {
         self.emit();
     }
 
-    /// One unit simulated by the controlled engine.
-    pub(crate) fn add_executed(&self) {
-        self.executed.fetch_add(1, Ordering::SeqCst);
-        self.done.fetch_add(1, Ordering::SeqCst);
+    /// `n` units simulated by the controlled engine: the lanes of one
+    /// pass.
+    pub(crate) fn add_executed(&self, n: usize) {
+        self.executed.fetch_add(n, Ordering::SeqCst);
+        self.done.fetch_add(n, Ordering::SeqCst);
         self.emit();
     }
 
@@ -395,8 +396,8 @@ mod tests {
         let control = BatchControl::observed(move |p| sink.lock().unwrap().push(p));
         control.add_total(4);
         control.add_hits(1);
-        control.add_executed();
-        control.add_executed();
+        control.add_executed(1);
+        control.add_executed(1);
         control.add_resolved(1);
         assert_eq!(
             control.progress(),

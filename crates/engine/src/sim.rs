@@ -43,16 +43,35 @@ impl SimLog {
 /// Runs one (application, combination, configuration) simulation: "an
 /// execution of an application under study using as input a network
 /// trace".
+///
+/// A simulator built by [`Simulator::new`] models one platform. The
+/// engine also builds simulators over several lane-compatible platforms
+/// ([`MemoryConfig::lane_base`]), whose one pass through the application
+/// yields a log per platform.
 #[derive(Debug, Clone)]
 pub struct Simulator {
-    mem_cfg: MemoryConfig,
+    /// The platforms of one pass, lane 0 first.
+    lanes: Vec<MemoryConfig>,
 }
 
 impl Simulator {
     /// Creates a simulator for the given platform memory configuration.
     #[must_use]
     pub fn new(mem_cfg: MemoryConfig) -> Self {
-        Simulator { mem_cfg }
+        Simulator {
+            lanes: vec![mem_cfg],
+        }
+    }
+
+    /// Creates a simulator whose one pass drives every configuration of
+    /// `lanes` as a lane of one [`MemorySystem`].
+    ///
+    /// # Panics
+    ///
+    /// The simulations panic unless [`MemorySystem::with_lanes`] accepts
+    /// `lanes`.
+    pub(crate) fn with_lanes(lanes: Vec<MemoryConfig>) -> Self {
+        Simulator { lanes }
     }
 
     /// Simulates `app` with `combo` in its dominant slots over `trace`,
@@ -60,8 +79,7 @@ impl Simulator {
     /// the measured execution, exactly like the paper's host runs.
     #[must_use]
     pub fn run(&self, app: AppKind, combo: Combo, params: &AppParams, trace: &Trace) -> SimLog {
-        let (report, _) = self.simulate(app, combo, params, trace.iter());
-        sim_log(app, combo, params, &trace.network, report)
+        first_lane(self.run_lanes(app, combo, params, trace))
     }
 
     /// Simulates `app` over a [`StreamSpec`] workload, streaming its
@@ -75,8 +93,31 @@ impl Simulator {
         params: &AppParams,
         spec: &StreamSpec,
     ) -> SimLog {
-        let (report, _) = self.simulate(app, combo, params, spec.stream());
-        sim_log(app, combo, params, spec.name(), report)
+        first_lane(self.run_spec_lanes(app, combo, params, spec))
+    }
+
+    /// [`Simulator::run`], one log per lane.
+    pub(crate) fn run_lanes(
+        &self,
+        app: AppKind,
+        combo: Combo,
+        params: &AppParams,
+        trace: &Trace,
+    ) -> Vec<SimLog> {
+        let (reports, _) = self.simulate(app, combo, params, trace.iter());
+        sim_logs(app, combo, params, &trace.network, reports)
+    }
+
+    /// [`Simulator::run_spec`], one log per lane.
+    pub(crate) fn run_spec_lanes(
+        &self,
+        app: AppKind,
+        combo: Combo,
+        params: &AppParams,
+        spec: &StreamSpec,
+    ) -> Vec<SimLog> {
+        let (reports, _) = self.simulate(app, combo, params, spec.stream());
+        sim_logs(app, combo, params, spec.name(), reports)
     }
 
     /// Simulates `app` over a packet stream and returns the cost report
@@ -90,42 +131,53 @@ impl Simulator {
         params: &AppParams,
         packets: impl IntoIterator<Item = Packet>,
     ) -> (CostReport, Vec<SlotProfile>) {
-        self.simulate(app, combo, params, packets)
+        let (reports, profiles) = self.simulate(app, combo, params, packets);
+        (reports[0], profiles)
     }
 
     /// The one simulation loop every entry point drains — their
     /// byte-identical metrics come from sharing this body, not from
-    /// keeping copies in sync.
+    /// keeping copies in sync. Returns one report per lane.
     fn simulate<B: std::borrow::Borrow<Packet>>(
         &self,
         app: AppKind,
         combo: Combo,
         params: &AppParams,
         packets: impl IntoIterator<Item = B>,
-    ) -> (CostReport, Vec<SlotProfile>) {
-        let mut mem = MemorySystem::new(self.mem_cfg);
+    ) -> (Vec<CostReport>, Vec<SlotProfile>) {
+        let mut mem = MemorySystem::with_lanes(&self.lanes);
         let mut instance = app.instantiate(combo, params, &mut mem);
         for pkt in packets {
             instance.process(pkt.borrow(), &mut mem);
         }
-        (mem.report(), instance.slot_profiles())
+        let reports = (0..mem.lanes()).map(|lane| mem.lane_report(lane)).collect();
+        (reports, instance.slot_profiles())
     }
 }
 
-fn sim_log(
+fn first_lane(logs: Vec<SimLog>) -> SimLog {
+    logs.into_iter().next().expect("a simulator has a lane")
+}
+
+fn sim_logs(
     app: AppKind,
     combo: Combo,
     params: &AppParams,
     network: &str,
-    report: CostReport,
-) -> SimLog {
-    SimLog {
-        app,
-        combo: combo_label(combo),
-        network: network.to_owned(),
-        params: params.label(app),
-        report,
-    }
+    reports: Vec<CostReport>,
+) -> Vec<SimLog> {
+    let combo = combo_label(combo);
+    let params = params.label(app);
+    reports
+        .into_iter()
+        .map(|report| SimLog {
+            app,
+            combo: combo.clone(),
+            network: network.to_owned(),
+            params: params.clone(),
+            report,
+        })
+        .collect()
 }
 
 #[cfg(test)]

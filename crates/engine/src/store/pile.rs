@@ -2,12 +2,13 @@
 //! lazy fingerprint index, verified lookups, appends, verify and
 //! compaction.
 
-use super::format::{encode_record, Record, PAGE, REC_HEADER_LEN};
+use super::format::{encode_record, IdxEntry, Record, PAGE, REC_HEADER_LEN};
 use super::segment::{
     file_name_of, idx_path_of, load_index, SegmentReader, SegmentWriter, SEG_EXT,
 };
 use super::{CorruptKind, StoreError, StoreIssue};
 use crate::key::fnv1a64;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -44,13 +45,57 @@ struct Loc {
     offset: u64,
 }
 
+/// The records of one key fingerprint, in discovery order. Almost every
+/// fingerprint has one record, held inline; a second spills them all to
+/// a `Vec`.
+enum Locs {
+    One(Loc),
+    Many(Vec<Loc>),
+}
+
+impl Locs {
+    fn as_slice(&self) -> &[Loc] {
+        match self {
+            Locs::One(loc) => std::slice::from_ref(loc),
+            Locs::Many(locs) => locs,
+        }
+    }
+
+    fn remove(&mut self, i: usize) {
+        match self {
+            Locs::One(_) => *self = Locs::Many(Vec::new()),
+            Locs::Many(locs) => {
+                locs.remove(i);
+            }
+        }
+    }
+}
+
 /// The lazily built in-memory index: key fingerprint → record locations
 /// in discovery order (lookups walk candidates newest-first; the map is
 /// only ever *probed*, never iterated, so hash order cannot leak into
 /// results).
 struct Index {
-    map: HashMap<u64, Vec<Loc>>,
+    map: HashMap<u64, Locs>,
     records: u64,
+}
+
+impl Index {
+    fn push(&mut self, fp: u64, loc: Loc) {
+        match self.map.entry(fp) {
+            Entry::Occupied(mut e) => match e.get_mut() {
+                Locs::One(first) => {
+                    let first = *first;
+                    e.insert(Locs::Many(vec![first, loc]));
+                }
+                Locs::Many(locs) => locs.push(loc),
+            },
+            Entry::Vacant(e) => {
+                e.insert(Locs::One(loc));
+            }
+        }
+        self.records += 1;
+    }
 }
 
 /// One discovered segment file. A segment whose header failed
@@ -292,10 +337,10 @@ impl PileStore {
         let Some(locs) = index.as_mut().and_then(|i| i.map.get_mut(&fp)) else {
             return Ok(None);
         };
-        let mut i = locs.len();
+        let mut i = locs.as_slice().len();
         while i > 0 {
             i -= 1;
-            let Some(loc) = locs.get(i).copied() else {
+            let Some(loc) = locs.as_slice().get(i).copied() else {
                 break;
             };
             let Some(reader) = slots.get(loc.seg).and_then(|s| s.reader.as_ref()) else {
@@ -345,8 +390,7 @@ impl PileStore {
         let seg = active.slot;
         let full = active.writer.data_len() >= self.max_segment_bytes;
         if let Some(index) = self.index.as_mut() {
-            index.map.entry(fp).or_default().push(Loc { seg, offset });
-            index.records += 1;
+            index.push(fp, Loc { seg, offset });
         }
         self.appended += 1;
         self.unpublished += 1;
@@ -595,22 +639,43 @@ impl PileStore {
         if self.index.is_some() {
             return Ok(());
         }
-        let mut map: HashMap<u64, Vec<Loc>> = HashMap::new();
-        let mut records = 0;
+        // Load every sidecar first, so that the map is sized once for
+        // the records they list. Each segment's sidecar issues are kept
+        // apart and reported before that segment's other issues.
+        let sidecars: Vec<(Vec<IdxEntry>, Vec<StoreIssue>)> = self
+            .slots
+            .iter()
+            .map(|slot| {
+                let mut issues = Vec::new();
+                let entries = match &slot.reader {
+                    Some(reader) => load_index(&slot.path, &reader.header, &mut issues),
+                    None => Vec::new(),
+                };
+                (entries, issues)
+            })
+            .collect();
+        let listed = sidecars.iter().map(|(entries, _)| entries.len()).sum();
+        let mut index = Index {
+            map: HashMap::with_capacity(listed),
+            records: 0,
+        };
         let mut issues = Vec::new();
-        for (seg, slot) in self.slots.iter().enumerate() {
+        for (seg, (slot, (entries, sidecar_issues))) in self.slots.iter().zip(sidecars).enumerate()
+        {
             let Some(reader) = &slot.reader else { continue };
+            issues.extend(sidecar_issues);
             let data_len = reader.data_len().map_err(StoreError::Io)?;
-            let entries = load_index(&slot.path, &reader.header, &mut issues);
             let mut covered = 0u64;
             for entry in &entries {
                 let end = entry.offset.saturating_add(u64::from(entry.len));
-                if end <= data_len && entry.len as usize >= super::format::REC_HEADER_LEN {
-                    map.entry(entry.key_fp).or_default().push(Loc {
-                        seg,
-                        offset: entry.offset,
-                    });
-                    records += 1;
+                if end <= data_len && entry.len as usize >= REC_HEADER_LEN {
+                    index.push(
+                        entry.key_fp,
+                        Loc {
+                            seg,
+                            offset: entry.offset,
+                        },
+                    );
                     covered = covered.max(end);
                 } else {
                     issues.push(StoreIssue {
@@ -627,15 +692,12 @@ impl PileStore {
             // tail, or everything when the sidecar was unusable.
             reader
                 .scan(covered, &mut issues, |offset, rec| {
-                    map.entry(fnv1a64(&rec.key))
-                        .or_default()
-                        .push(Loc { seg, offset });
-                    records += 1;
+                    index.push(fnv1a64(&rec.key), Loc { seg, offset });
                 })
                 .map_err(StoreError::Io)?;
         }
         self.note_issues(issues);
-        self.index = Some(Index { map, records });
+        self.index = Some(index);
         Ok(())
     }
 

@@ -4,6 +4,11 @@
 //! replacement in L1 and L2, best-fit and next-fit heaps, non-power-of-two
 //! set counts), checked bit-for-bit against `data/golden_costs.txt`.
 //!
+//! The corpus is checked twice: one `Simulator` per platform, and one
+//! engine batch per (application, combination) over all the platforms,
+//! whose lane-compatible platforms (`embedded`, `l2`, `l2-small`) run as
+//! the lanes of one pass.
+//!
 //! Self-consistency tests cannot catch a change that moves every run the
 //! same way; this corpus can. Any change to `accesses`, `cycles`,
 //! `peak_footprint_bytes` or the bits of `energy_nj` (including the
@@ -14,8 +19,10 @@
 
 use ddtr_apps::{AppKind, AppParams};
 use ddtr_ddt::DdtKind;
-use ddtr_engine::{combo_label, Combo, Simulator};
-use ddtr_mem::{CacheConfig, FitPolicy, MemoryConfig, MemoryPreset, ReplacementPolicy};
+use ddtr_engine::{
+    combo_label, fingerprint_trace, Combo, EngineConfig, ExploreEngine, SimUnit, Simulator,
+};
+use ddtr_mem::{CacheConfig, CostReport, FitPolicy, MemoryConfig, MemoryPreset, ReplacementPolicy};
 use ddtr_trace::{NetworkPreset, Trace};
 
 const PACKETS: usize = 60;
@@ -102,8 +109,20 @@ fn platforms() -> Vec<(String, MemoryConfig)> {
     out
 }
 
-/// One row per simulation:
+/// One corpus row:
 /// `app combo platform accesses cycles peak_footprint_bytes energy_bits`.
+fn row(app: AppKind, combo: Combo, platform: &str, r: &CostReport) -> String {
+    format!(
+        "{app} {} {platform} {} {} {} {:#018x}",
+        combo_label(combo),
+        r.accesses,
+        r.cycles,
+        r.peak_footprint_bytes,
+        r.energy_nj.to_bits()
+    )
+}
+
+/// One row per simulation, one `Simulator` per platform.
 fn corpus_rows() -> Vec<String> {
     let trace: Trace = NetworkPreset::DartmouthBerry.generate(PACKETS);
     let params = AppParams::default();
@@ -113,15 +132,43 @@ fn corpus_rows() -> Vec<String> {
         let sim = Simulator::new(cfg);
         for app in AppKind::EXTENDED_ALL {
             for &combo in &combos {
-                let r = sim.run(app, combo, &params, &trace).report;
-                rows.push(format!(
-                    "{app} {} {name} {} {} {} {:#018x}",
-                    combo_label(combo),
-                    r.accesses,
-                    r.cycles,
-                    r.peak_footprint_bytes,
-                    r.energy_nj.to_bits()
+                rows.push(row(
+                    app,
+                    combo,
+                    &name,
+                    &sim.run(app, combo, &params, &trace).report,
                 ));
+            }
+        }
+    }
+    rows
+}
+
+/// The same rows, in the same order, from one engine batch per
+/// (application, combination) over every platform.
+fn corpus_rows_by_engine_batch() -> Vec<String> {
+    let trace: Trace = NetworkPreset::DartmouthBerry.generate(PACKETS);
+    let fp = fingerprint_trace(&trace);
+    let params = AppParams::default();
+    let combos = combos();
+    let platforms = platforms();
+    let apps = AppKind::EXTENDED_ALL;
+    let mut engine = ExploreEngine::new(EngineConfig {
+        jobs: 2,
+        no_cache: true,
+        ..EngineConfig::default()
+    })
+    .expect("in-memory engine");
+    let mut rows = vec![String::new(); platforms.len() * apps.len() * combos.len()];
+    for (a, &app) in apps.iter().enumerate() {
+        for (c, &combo) in combos.iter().enumerate() {
+            let units: Vec<SimUnit> = platforms
+                .iter()
+                .map(|(_, cfg)| SimUnit::with_fingerprint(app, combo, &params, &trace, fp, *cfg))
+                .collect();
+            let logs = engine.evaluate_batch(&units);
+            for (p, ((name, _), log)) in platforms.iter().zip(&logs).enumerate() {
+                rows[(p * apps.len() + a) * combos.len() + c] = row(app, combo, name, &log.report);
             }
         }
     }
@@ -135,14 +182,12 @@ fn energy_of(row: &str) -> f64 {
         .map_or(f64::NAN, f64::from_bits)
 }
 
-#[test]
-fn cost_reports_match_the_golden_corpus() {
+fn assert_matches_the_corpus(actual: &[String]) {
     let expected: Vec<&str> = CORPUS
         .lines()
         .filter(|l| !l.is_empty() && !l.starts_with('#'))
         .collect();
-    let actual = corpus_rows();
-    for (i, (want, got)) in expected.iter().zip(&actual).enumerate() {
+    for (i, (want, got)) in expected.iter().zip(actual).enumerate() {
         assert_eq!(
             *want,
             got,
@@ -158,6 +203,16 @@ fn cost_reports_match_the_golden_corpus() {
         expected.len(),
         actual.len()
     );
+}
+
+#[test]
+fn cost_reports_match_the_golden_corpus() {
+    assert_matches_the_corpus(&corpus_rows());
+}
+
+#[test]
+fn lane_batches_match_the_golden_corpus() {
+    assert_matches_the_corpus(&corpus_rows_by_engine_batch());
 }
 
 #[test]

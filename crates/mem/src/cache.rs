@@ -171,7 +171,7 @@ impl Cache {
     /// Like [`Cache::access`], but also reports which line was evicted so
     /// a multi-level hierarchy can route the writeback to the correct
     /// next-level set.
-    #[inline]
+    #[inline(always)]
     pub fn access_line(&mut self, addr: VirtAddr, write: bool) -> LineAccess {
         self.clock += 1;
         let line = addr.as_u64() >> self.line_shift;

@@ -335,6 +335,27 @@ impl MemoryConfig {
         }
     }
 
+    /// This configuration without its L2: the part that the lanes of one
+    /// [`MemorySystem`](crate::MemorySystem) share. Configurations with
+    /// equal lane bases can run as lanes of one system
+    /// ([`MemorySystem::with_lanes`](crate::MemorySystem::with_lanes)),
+    /// because the allocator, the L1 and the scratchpad see the same
+    /// traffic under each of them.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use ddtr_mem::MemoryConfig;
+    ///
+    /// let embedded = MemoryConfig::embedded_default();
+    /// assert_eq!(MemoryConfig::with_l2().lane_base(), embedded.lane_base());
+    /// assert_ne!(MemoryConfig::with_spm().lane_base(), embedded.lane_base());
+    /// ```
+    #[must_use]
+    pub fn lane_base(&self) -> MemoryConfig {
+        MemoryConfig { l2: None, ..*self }
+    }
+
     /// Validates all sub-configurations.
     ///
     /// # Errors

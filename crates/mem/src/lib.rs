@@ -36,6 +36,16 @@
 //! bit, and a property test checks the cache against a one-vector-per-set
 //! reference model.
 //!
+//! One system can carry several *lanes*, one per platform, when the
+//! platforms differ only in the L2 ([`MemoryConfig::lane_base`],
+//! [`MemorySystem::with_lanes`]). An access then walks the shared L1
+//! once; only its misses and dirty writebacks reach each lane's L2 and
+//! DRAM. Every lane charges its own cycles and energy in the order a
+//! one-lane system would, so each lane's report is bit-identical to that
+//! system's (a property test checks this after every operation). A
+//! one-lane system takes the same path without the lane work: the line
+//! loop is one generic function, instantiated with and without lanes.
+//!
 //! # Example
 //!
 //! ```

@@ -1,9 +1,10 @@
-//! The composed memory system: allocator + L1 + DRAM + energy accounting.
+//! The composed memory system: allocator + L1, then one L2 and DRAM per
+//! lane, with energy accounting.
 
 use crate::allocator::{AllocError, SimAllocator};
 use crate::cache::Cache;
 use crate::config::MemoryConfig;
-use crate::dram::DramModel;
+use crate::dram::{DramModel, DramStats};
 use crate::energy::EnergyModel;
 use crate::report::{CostReport, MemStats};
 use crate::VirtAddr;
@@ -12,14 +13,195 @@ use crate::VirtAddr;
 /// base so scratchpad and heap addresses never collide.
 pub(crate) const SPM_BASE: u64 = 0x100;
 
+/// The levels of one lane below the shared L1: an optional L2 and the
+/// DRAM.
+#[derive(Debug, Clone)]
+struct Below {
+    l2: Option<Cache>,
+    /// Hit latency of the L2 (unused without one).
+    l2_hit_cycles: u64,
+    /// Per-access energy of the L2 array (constant: the L2 is a fixed
+    /// hardware block, unlike the footprint-sized data memory).
+    l2_access_nj: f64,
+    dram: DramModel,
+}
+
+impl Below {
+    fn new(cfg: &MemoryConfig) -> Self {
+        Below {
+            l2: cfg.l2.map(Cache::new),
+            l2_hit_cycles: cfg.l2.map_or(0, |c| c.hit_cycles),
+            l2_access_nj: cfg.l2.map_or(0.0, |c| {
+                EnergyModel::sram_access_nj(c.capacity_bytes, c.line_bytes, c.ways)
+            }),
+            dram: DramModel::new(cfg.dram),
+        }
+    }
+
+    /// Serves an L1 fill (`write == false`) or an L1 dirty writeback
+    /// (`write == true`) from the L2, falling through to DRAM on an L2
+    /// miss, or straight from DRAM without an L2. Charges the energy to
+    /// `energy_nj` and returns the cycle cost.
+    fn serve(&mut self, line: VirtAddr, write: bool, dram_nj: f64, energy_nj: &mut f64) -> u64 {
+        let Some(l2) = &mut self.l2 else {
+            *energy_nj += dram_nj;
+            return if write {
+                self.dram.write_line()
+            } else {
+                self.dram.read_line()
+            };
+        };
+        let outcome = l2.access_line(line, write);
+        let mut cycles = self.l2_hit_cycles;
+        *energy_nj += self.l2_access_nj;
+        if !outcome.hit {
+            // Write-allocate: a written line is fetched before it is
+            // dirtied.
+            cycles += self.dram.read_line();
+            *energy_nj += dram_nj;
+        }
+        if outcome.writeback {
+            cycles += self.dram.write_line();
+            *energy_nj += dram_nj;
+        }
+        cycles
+    }
+
+    fn reset_stats(&mut self) {
+        if let Some(l2) = &mut self.l2 {
+            l2.reset_stats();
+        }
+        self.dram.reset_stats();
+    }
+}
+
+/// Lanes 1 and up, field by field.
+///
+/// Every lane charges the same cycles and energy except below the L1, and
+/// only about one line access in a hundred reaches below it. So the
+/// energy ledgers sit in pairs, one two-wide add charging two lanes, and
+/// the cycle ledgers are kept as differences from lane 0, which only a
+/// transaction that reached below the L1 changes.
+#[derive(Debug, Clone, Default)]
+struct MoreLanes {
+    below: Vec<Below>,
+    /// Energy ledgers, lane `j` at `[j / 2][j % 2]`; with an odd lane
+    /// count the last pair's second slot is unused.
+    energy_nj: Vec<[f64; 2]>,
+    /// Each lane's cycles minus lane 0's, wrapping.
+    cycles_over_lane0: Vec<u64>,
+    /// Cycles each lane's levels below the L1 added to the transaction in
+    /// flight.
+    pending: Vec<u64>,
+    /// Whether the transaction in flight reached below the L1.
+    reached_below: bool,
+}
+
+impl MoreLanes {
+    fn new(cfgs: &[MemoryConfig]) -> Self {
+        MoreLanes {
+            below: cfgs.iter().map(Below::new).collect(),
+            energy_nj: vec![[0.0; 2]; cfgs.len().div_ceil(2)],
+            cycles_over_lane0: vec![0; cfgs.len()],
+            pending: vec![0; cfgs.len()],
+            reached_below: false,
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.below.is_empty()
+    }
+
+    /// Adds the same energy to every lane.
+    #[inline]
+    fn add_all(&mut self, energy_nj: f64) {
+        for pair in &mut self.energy_nj {
+            pair[0] += energy_nj;
+            pair[1] += energy_nj;
+        }
+    }
+
+    /// One L1 line access, in the order lane 0 charges it: the data-array
+    /// energy, then the fill, then the writeback.
+    #[inline]
+    fn line(
+        &mut self,
+        data_nj: f64,
+        fill: Option<VirtAddr>,
+        victim: Option<VirtAddr>,
+        dram_nj: f64,
+    ) {
+        self.add_all(data_nj);
+        if fill.is_some() || victim.is_some() {
+            self.line_below(fill, victim, dram_nj);
+        }
+    }
+
+    #[cold]
+    fn line_below(&mut self, fill: Option<VirtAddr>, victim: Option<VirtAddr>, dram_nj: f64) {
+        self.reached_below = true;
+        for (j, below) in self.below.iter_mut().enumerate() {
+            let energy_nj = &mut self.energy_nj[j / 2][j % 2];
+            if let Some(line) = fill {
+                self.pending[j] += below.serve(line, false, dram_nj, energy_nj);
+            }
+            if let Some(victim) = victim {
+                self.pending[j] += below.serve(victim, true, dram_nj, energy_nj);
+            }
+        }
+    }
+
+    /// Ends a transaction that cost lane 0 `lane0_cycles`, of which
+    /// `l1_cycles` were L1 latency: each lane pays the L1 latency plus
+    /// what its own levels below added, and the leakage of those cycles.
+    #[inline]
+    fn finish(&mut self, lane0_cycles: u64, l1_cycles: u64, leakage_nj_per_cycle: f64) {
+        if !self.reached_below {
+            // Every lane's transaction cost lane 0's cycles.
+            self.add_all(leakage_nj_per_cycle * lane0_cycles as f64);
+            return;
+        }
+        self.reached_below = false;
+        for j in 0..self.below.len() {
+            let cycles = l1_cycles + std::mem::take(&mut self.pending[j]);
+            self.energy_nj[j / 2][j % 2] += leakage_nj_per_cycle * cycles as f64;
+            self.cycles_over_lane0[j] = self.cycles_over_lane0[j]
+                .wrapping_add(cycles)
+                .wrapping_sub(lane0_cycles);
+        }
+    }
+
+    fn reset_stats(&mut self) {
+        for below in &mut self.below {
+            below.reset_stats();
+        }
+        self.energy_nj.fill([0.0; 2]);
+        self.cycles_over_lane0.fill(0);
+    }
+}
+
 /// The simulated embedded memory subsystem.
 ///
 /// All dynamic-data-type implementations issue their traffic through this
 /// type. A call to [`MemorySystem::read`] or [`MemorySystem::write`] is
 /// split into cache-line transactions, driven through the L1 and (on
-/// misses/writebacks) the DRAM model, while cycles and nanojoules are
-/// accumulated into a [`MemStats`] ledger. Heap state lives in the embedded
-/// [`SimAllocator`].
+/// misses/writebacks) the L2 and DRAM models, while cycles and nanojoules
+/// are accumulated into a [`MemStats`] ledger. Heap state lives in the
+/// embedded [`SimAllocator`].
+///
+/// # Lanes
+///
+/// One system can model several platforms at once, when their
+/// configurations differ only in the L2 ([`MemoryConfig::lane_base`]):
+/// [`MemorySystem::with_lanes`] builds one *lane* per configuration. The
+/// lanes share the allocator, the L1, the scratchpad and the access and
+/// allocation counts; each lane keeps its own L2, DRAM counters, cycles
+/// and energy, and charges them in the order a system built for its
+/// configuration alone would. So every lane's report is bit-identical to
+/// that system's, and one pass of the application serves every lane. A
+/// system built with [`MemorySystem::new`] is one lane; the single-lane
+/// accessors ([`stats`](Self::stats), [`report`](Self::report),
+/// [`l2_stats`](Self::l2_stats)) read lane 0.
 ///
 /// # Example
 ///
@@ -37,14 +219,10 @@ pub(crate) const SPM_BASE: u64 = 0x100;
 /// ```
 #[derive(Debug, Clone)]
 pub struct MemorySystem {
+    /// Lane 0's configuration; the other lanes differ only in the L2.
     cfg: MemoryConfig,
     alloc: SimAllocator,
     l1: Cache,
-    l2: Option<Cache>,
-    /// Per-access energy of the L2 array (constant: the L2 is a fixed
-    /// hardware block, unlike the footprint-sized data memory).
-    l2_access_nj: f64,
-    dram: DramModel,
     energy: EnergyModel,
     /// Bump pointer of the scratchpad region, when configured.
     spm_next: u64,
@@ -56,24 +234,71 @@ pub struct MemorySystem {
     data_access_nj: f64,
     /// `log2` of the (validated power-of-two) L1 line size.
     line_shift: u32,
-    stats: MemStats,
+    /// The access, byte and allocation counts every lane shares. Its
+    /// `cycles` and `energy_nj` stay zero: each lane keeps its own.
+    counts: MemStats,
+    /// Lane 0's levels below the L1 and its ledger, held apart from the
+    /// other lanes so that a one-lane system's access path stays
+    /// straight-line code.
+    below0: Below,
+    cycles: u64,
+    energy_nj: f64,
+    more: MoreLanes,
 }
 
 impl MemorySystem {
-    /// Builds the memory system from a validated configuration.
+    /// Builds the memory system from a validated configuration: a
+    /// one-lane system.
     ///
     /// # Panics
     ///
     /// Panics if `cfg` fails [`MemoryConfig::validate`].
     #[must_use]
     pub fn new(cfg: MemoryConfig) -> Self {
+        Self::with_lanes(&[cfg])
+    }
+
+    /// Builds one system with a lane per configuration, in order (see
+    /// [Lanes](Self#lanes)).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lanes` is empty, if a configuration fails
+    /// [`MemoryConfig::validate`], or if two configurations have
+    /// different [`MemoryConfig::lane_base`]s.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use ddtr_mem::{MemoryConfig, MemorySystem};
+    ///
+    /// let lanes = [MemoryConfig::embedded_default(), MemoryConfig::with_l2()];
+    /// let mut both = MemorySystem::with_lanes(&lanes);
+    /// let mut l2_only = MemorySystem::new(MemoryConfig::with_l2());
+    /// for mem in [&mut both, &mut l2_only] {
+    ///     let a = mem.alloc(256)?;
+    ///     mem.write(a, 256);
+    ///     mem.read(a, 64);
+    /// }
+    /// assert_eq!(both.lanes(), 2);
+    /// assert_eq!(both.lane_report(1), l2_only.report());
+    /// assert_eq!(both.lane_l2_stats(1), l2_only.l2_stats());
+    /// # Ok::<(), ddtr_mem::AllocError>(())
+    /// ```
+    #[must_use]
+    pub fn with_lanes(lanes: &[MemoryConfig]) -> Self {
+        let (&cfg, rest) = lanes
+            .split_first()
+            .expect("a memory system needs at least one lane");
         cfg.validate().expect("invalid memory configuration");
+        for other in rest {
+            other.validate().expect("invalid memory configuration");
+            assert!(
+                other.lane_base() == cfg.lane_base(),
+                "lanes of one memory system may differ only in the L2"
+            );
+        }
         let energy = EnergyModel::from_configs(&cfg.l1, &cfg.dram);
-        let l2 = cfg.l2.map(Cache::new);
-        let l2_access_nj = cfg
-            .l2
-            .map(|c| EnergyModel::sram_access_nj(c.capacity_bytes, c.line_bytes, c.ways))
-            .unwrap_or(0.0);
         // Scratchpad energy: a direct-mapped SRAM array with cache-line-wide
         // rows — the smallest access of the whole hierarchy.
         let spm_access_nj = cfg
@@ -88,15 +313,16 @@ impl MemorySystem {
                 cfg.fit_policy,
             ),
             l1: Cache::new(cfg.l1),
-            l2,
-            l2_access_nj,
-            dram: DramModel::new(cfg.dram),
             energy,
             spm_next: SPM_BASE,
             spm_access_nj,
             data_access_nj: energy.data_access_nj(0),
             line_shift: cfg.l1.line_bytes.trailing_zeros(),
-            stats: MemStats::default(),
+            counts: MemStats::default(),
+            below0: Below::new(&cfg),
+            cycles: 0,
+            energy_nj: 0.0,
+            more: MoreLanes::new(rest),
         }
     }
 
@@ -110,7 +336,7 @@ impl MemorySystem {
         sys
     }
 
-    /// Configuration in use.
+    /// Configuration in use (lane 0's).
     #[must_use]
     pub fn config(&self) -> MemoryConfig {
         self.cfg
@@ -120,6 +346,12 @@ impl MemorySystem {
     #[must_use]
     pub fn energy_model(&self) -> EnergyModel {
         self.energy
+    }
+
+    /// Number of lanes: one per configuration the system was built with.
+    #[must_use]
+    pub fn lanes(&self) -> usize {
+        1 + self.more.below.len()
     }
 
     /// Allocates `size` bytes on the simulated heap, charging the
@@ -133,7 +365,7 @@ impl MemorySystem {
         self.refresh_data_access_nj();
         let cost = self.cfg.alloc_cost;
         self.charge_meta(cost.accesses_per_alloc, cost.cycles_per_alloc);
-        self.stats.allocs += 1;
+        self.counts.allocs += 1;
         Ok(addr)
     }
 
@@ -148,7 +380,7 @@ impl MemorySystem {
         self.refresh_data_access_nj();
         let cost = self.cfg.alloc_cost;
         self.charge_meta(cost.accesses_per_free, cost.cycles_per_free);
-        self.stats.frees += 1;
+        self.counts.frees += 1;
         Ok(())
     }
 
@@ -197,7 +429,7 @@ impl MemorySystem {
 
     /// Issues a read of `size` bytes starting at `addr`.
     ///
-    /// Returns the cycle cost of this transaction.
+    /// Returns the cycle cost of this transaction (on lane 0).
     #[inline]
     pub fn read(&mut self, addr: VirtAddr, size: u64) -> u64 {
         self.transact(addr, size, false)
@@ -205,7 +437,7 @@ impl MemorySystem {
 
     /// Issues a write of `size` bytes starting at `addr`.
     ///
-    /// Returns the cycle cost of this transaction.
+    /// Returns the cycle cost of this transaction (on lane 0).
     #[inline]
     pub fn write(&mut self, addr: VirtAddr, size: u64) -> u64 {
         self.transact(addr, size, true)
@@ -216,14 +448,35 @@ impl MemorySystem {
     #[inline]
     pub fn touch_cpu(&mut self, ops: u64) {
         let cycles = ops * self.cfg.cpu_op_cycles;
-        self.stats.cycles += cycles;
-        self.stats.energy_nj += self.energy.leakage_nj_per_cycle * cycles as f64;
+        self.charge_all(cycles, self.energy.leakage_nj_per_cycle * cycles as f64);
     }
 
-    /// Accumulated counters.
+    /// Accumulated counters (lane 0's cycles and energy).
     #[must_use]
     pub fn stats(&self) -> MemStats {
-        self.stats
+        self.lane_stats(0)
+    }
+
+    /// Accumulated counters of one lane: the shared access and
+    /// allocation counts with the lane's own cycles and energy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane` is not below [`MemorySystem::lanes`].
+    #[must_use]
+    pub fn lane_stats(&self, lane: usize) -> MemStats {
+        let (cycles, energy_nj) = match lane.checked_sub(1) {
+            None => (self.cycles, self.energy_nj),
+            Some(j) => (
+                self.cycles.wrapping_add(self.more.cycles_over_lane0[j]),
+                self.more.energy_nj[j / 2][j % 2],
+            ),
+        };
+        MemStats {
+            cycles,
+            energy_nj,
+            ..self.counts
+        }
     }
 
     /// L1 cache statistics.
@@ -232,10 +485,30 @@ impl MemorySystem {
         self.l1.stats()
     }
 
-    /// L2 cache statistics, when an L2 is configured.
+    /// L2 cache statistics, when an L2 is configured (lane 0's).
     #[must_use]
     pub fn l2_stats(&self) -> Option<crate::CacheStats> {
-        self.l2.as_ref().map(Cache::stats)
+        self.lane_l2_stats(0)
+    }
+
+    /// L2 cache statistics of one lane, when that lane has an L2.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane` is not below [`MemorySystem::lanes`].
+    #[must_use]
+    pub fn lane_l2_stats(&self, lane: usize) -> Option<crate::CacheStats> {
+        self.below(lane).l2.as_ref().map(Cache::stats)
+    }
+
+    /// DRAM transfer counters of one lane.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane` is not below [`MemorySystem::lanes`].
+    #[must_use]
+    pub fn lane_dram_stats(&self, lane: usize) -> DramStats {
+        self.below(lane).dram.stats()
     }
 
     /// Allocator statistics (footprint lives here).
@@ -250,70 +523,55 @@ impl MemorySystem {
         &self.alloc
     }
 
-    /// The four-metric report of everything observed so far.
+    /// The four-metric report of everything observed so far (lane 0's).
     #[must_use]
     pub fn report(&self) -> CostReport {
+        self.lane_report(0)
+    }
+
+    /// The four-metric report of one lane.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane` is not below [`MemorySystem::lanes`].
+    #[must_use]
+    pub fn lane_report(&self, lane: usize) -> CostReport {
+        let stats = self.lane_stats(lane);
         CostReport {
-            accesses: self.stats.accesses(),
-            cycles: self.stats.cycles,
-            energy_nj: self.stats.energy_nj,
+            accesses: stats.accesses(),
+            cycles: stats.cycles,
+            energy_nj: stats.energy_nj,
             peak_footprint_bytes: self.alloc.stats().peak_gross_bytes,
         }
     }
 
-    /// Clears all measurement counters (cache contents and heap state are
-    /// kept), so a build phase can be excluded from measurements.
+    /// Clears all measurement counters of every lane (cache contents and
+    /// heap state are kept), so a build phase can be excluded from
+    /// measurements.
     pub fn reset_stats(&mut self) {
-        self.stats = MemStats::default();
+        self.counts = MemStats::default();
         self.l1.reset_stats();
-        if let Some(l2) = &mut self.l2 {
-            l2.reset_stats();
-        }
-        self.dram.reset_stats();
+        self.below0.reset_stats();
+        self.cycles = 0;
+        self.energy_nj = 0.0;
+        self.more.reset_stats();
     }
 
-    /// Serves an L1 fill from the L2 (falling through to the backing
-    /// store on an L2 miss); returns the cycle cost.
-    fn next_level_read(&mut self, line_addr: VirtAddr) -> u64 {
-        let Some(l2) = &mut self.l2 else {
-            self.stats.energy_nj += self.energy.dram_access_nj;
-            return self.dram.read_line();
-        };
-        let outcome = l2.access_line(line_addr, false);
-        let l2_cfg = self.cfg.l2.expect("l2 cache implies l2 config");
-        let mut cycles = l2_cfg.hit_cycles;
-        self.stats.energy_nj += self.l2_access_nj;
-        if !outcome.hit {
-            cycles += self.dram.read_line();
-            self.stats.energy_nj += self.energy.dram_access_nj;
+    fn below(&self, lane: usize) -> &Below {
+        match lane.checked_sub(1) {
+            None => &self.below0,
+            Some(j) => &self.more.below[j],
         }
-        if outcome.writeback {
-            cycles += self.dram.write_line();
-            self.stats.energy_nj += self.energy.dram_access_nj;
-        }
-        cycles
     }
 
-    /// Routes an L1 dirty writeback to the L2 (or the backing store).
-    fn next_level_write(&mut self, victim_addr: VirtAddr) -> u64 {
-        let Some(l2) = &mut self.l2 else {
-            self.stats.energy_nj += self.energy.dram_access_nj;
-            return self.dram.write_line();
-        };
-        let outcome = l2.access_line(victim_addr, true);
-        let l2_cfg = self.cfg.l2.expect("l2 cache implies l2 config");
-        let mut cycles = l2_cfg.hit_cycles;
-        self.stats.energy_nj += self.l2_access_nj;
-        if !outcome.hit {
-            // Write-allocate: fetch the line before dirtying it.
-            cycles += self.dram.read_line();
-            self.stats.energy_nj += self.energy.dram_access_nj;
+    /// Charges every lane the same cycles and energy.
+    #[inline]
+    fn charge_all(&mut self, cycles: u64, energy_nj: f64) {
+        self.cycles += cycles;
+        self.energy_nj += energy_nj;
+        if !self.more.is_empty() {
+            self.more.add_all(energy_nj);
         }
-        if outcome.writeback {
-            cycles += self.dram.write_line();
-            self.stats.energy_nj += self.energy.dram_access_nj;
-        }
-        cycles
     }
 
     /// CACTI effect: the data memory serving the heap is sized to what
@@ -327,61 +585,92 @@ impl MemorySystem {
 
     fn charge_meta(&mut self, accesses: u64, cycles: u64) {
         // Allocator metadata is small and hot: model it as L1-resident.
-        self.stats.reads += accesses / 2;
-        self.stats.writes += accesses - accesses / 2;
-        self.stats.cycles += cycles + accesses * self.cfg.l1.hit_cycles;
-        self.stats.energy_nj += self.energy.l1_access_nj * accesses as f64
-            + self.energy.leakage_nj_per_cycle * cycles as f64;
+        self.counts.reads += accesses / 2;
+        self.counts.writes += accesses - accesses / 2;
+        self.charge_all(
+            cycles + accesses * self.cfg.l1.hit_cycles,
+            self.energy.l1_access_nj * accesses as f64
+                + self.energy.leakage_nj_per_cycle * cycles as f64,
+        );
     }
 
+    /// One read or write transaction on every lane.
     #[inline]
     fn transact(&mut self, addr: VirtAddr, size: u64, write: bool) -> u64 {
         debug_assert!(size > 0, "zero-size transaction");
+        if write {
+            self.counts.writes += 1;
+            self.counts.write_bytes += size;
+        } else {
+            self.counts.reads += 1;
+            self.counts.read_bytes += size;
+        }
         if self.is_spm_addr(addr) {
             // Scratchpad access: fixed latency, small fixed energy, no
             // cache involvement.
             let spm = self.cfg.spm.expect("spm address implies spm config");
             let cycles = spm.access_cycles;
-            if write {
-                self.stats.writes += 1;
-                self.stats.write_bytes += size;
-            } else {
-                self.stats.reads += 1;
-                self.stats.read_bytes += size;
-            }
-            self.stats.cycles += cycles;
-            self.stats.energy_nj +=
-                self.spm_access_nj + self.energy.leakage_nj_per_cycle * cycles as f64;
+            self.charge_all(
+                cycles,
+                self.spm_access_nj + self.energy.leakage_nj_per_cycle * cycles as f64,
+            );
             return cycles;
         }
+        if self.more.is_empty() {
+            self.lines::<false>(addr, size, write)
+        } else {
+            self.lines_on_every_lane(addr, size, write)
+        }
+    }
+
+    /// `lines::<true>`, kept out of line so that the one-lane path stays
+    /// as short as it was before lanes.
+    #[inline(never)]
+    fn lines_on_every_lane(&mut self, addr: VirtAddr, size: u64, write: bool) -> u64 {
+        self.lines::<true>(addr, size, write)
+    }
+
+    /// Drives the L1 lines of one transaction and charges them; with
+    /// `LANES`, on lanes 1 and up too. The one-lane instantiation is the
+    /// whole line path of a one-lane system. Returns lane 0's cycles.
+    #[inline(always)]
+    fn lines<const LANES: bool>(&mut self, addr: VirtAddr, size: u64, write: bool) -> u64 {
         let shift = self.line_shift;
         let first = addr.as_u64() >> shift;
         let last = addr.offset(size.saturating_sub(1)).as_u64() >> shift;
+        let l1_hit_cycles = self.cfg.l1.hit_cycles;
+        let data_nj = self.data_access_nj;
+        let dram_nj = self.energy.dram_access_nj;
+        let leakage = self.energy.leakage_nj_per_cycle;
         let mut cycles = 0;
         for li in first..=last {
             let line_addr = VirtAddr::new(li << shift);
             let outcome = self.l1.access_line(line_addr, write);
-            cycles += self.cfg.l1.hit_cycles;
-            self.stats.energy_nj += self.data_access_nj;
-            if !outcome.hit {
+            cycles += l1_hit_cycles;
+            self.energy_nj += data_nj;
+            let fill = (!outcome.hit).then_some(line_addr);
+            let victim = outcome.victim_line.map(|v| VirtAddr::new(v << shift));
+            if let Some(line) = fill {
                 // Miss: fill from the L2 (when present) or the backing
                 // store.
-                cycles += self.next_level_read(line_addr);
+                cycles += self.below0.serve(line, false, dram_nj, &mut self.energy_nj);
             }
-            if let Some(victim) = outcome.victim_line {
+            if let Some(victim) = victim {
                 // Dirty eviction: write the victim line to the next level.
-                cycles += self.next_level_write(VirtAddr::new(victim << shift));
+                cycles += self
+                    .below0
+                    .serve(victim, true, dram_nj, &mut self.energy_nj);
+            }
+            if LANES {
+                self.more.line(data_nj, fill, victim, dram_nj);
             }
         }
-        if write {
-            self.stats.writes += 1;
-            self.stats.write_bytes += size;
-        } else {
-            self.stats.reads += 1;
-            self.stats.read_bytes += size;
+        self.cycles += cycles;
+        self.energy_nj += leakage * cycles as f64;
+        if LANES {
+            self.more
+                .finish(cycles, (last - first + 1) * l1_hit_cycles, leakage);
         }
-        self.stats.cycles += cycles;
-        self.stats.energy_nj += self.energy.leakage_nj_per_cycle * cycles as f64;
         cycles
     }
 }

@@ -1,8 +1,8 @@
 //! Property-based tests for the simulated memory subsystem.
 
 use ddtr_mem::{
-    Cache, CacheConfig, CacheStats, LineAccess, MemoryConfig, MemorySystem, ReplacementPolicy,
-    SimAllocator, VirtAddr,
+    Cache, CacheConfig, CacheStats, FitPolicy, LineAccess, MemoryConfig, MemorySystem,
+    ReplacementPolicy, SimAllocator, SpmConfig, VirtAddr,
 };
 use proptest::prelude::*;
 
@@ -131,6 +131,92 @@ enum HeapOp {
     Alloc(u64),
     /// Free the i-th live block (modulo the live count).
     Free(usize),
+}
+
+const POLICIES: [ReplacementPolicy; 3] = [
+    ReplacementPolicy::Lru,
+    ReplacementPolicy::Fifo,
+    ReplacementPolicy::Random,
+];
+
+/// A lane group: a small shared platform (32-byte lines, a 1–16-line
+/// L1, first- or best-fit heap, sometimes a scratchpad) and one to four
+/// lanes, each without an L2 or with an L2 of random geometry, latency
+/// and replacement policy.
+fn lane_group() -> impl Strategy<Value = Vec<MemoryConfig>> {
+    let base = (1u64..=4, 1u32..=4, 0usize..3, 0usize..2, 0u64..3).prop_map(
+        |(sets, ways, policy, fit, spm_quarter_kib)| {
+            let tiny = MemoryConfig::tiny_for_tests();
+            MemoryConfig {
+                l1: CacheConfig {
+                    capacity_bytes: sets * u64::from(ways) * 32,
+                    line_bytes: 32,
+                    ways,
+                    hit_cycles: 1,
+                    replacement: POLICIES[policy],
+                },
+                spm: (spm_quarter_kib > 0).then_some(SpmConfig {
+                    capacity_bytes: spm_quarter_kib * 256,
+                    access_cycles: 2,
+                }),
+                fit_policy: [FitPolicy::FirstFit, FitPolicy::BestFit][fit],
+                ..tiny
+            }
+        },
+    );
+    let l2 = (0u64..33, 1u32..=8, 1u64..=12, 0usize..3);
+    (base, prop::collection::vec(l2, 1..5)).prop_map(|(base, lanes)| {
+        let l1_lines = base.l1.capacity_bytes / 32;
+        lanes
+            .into_iter()
+            .map(|(sets, ways, hit_cycles, policy)| MemoryConfig {
+                // Zero sets is the lane without an L2; the others hold
+                // more lines than the L1, in any set count.
+                l2: (sets > 0).then(|| CacheConfig {
+                    capacity_bytes: sets.max(l1_lines / u64::from(ways) + 1) * u64::from(ways) * 32,
+                    line_bytes: 32,
+                    ways,
+                    hit_cycles,
+                    replacement: POLICIES[policy],
+                }),
+                ..base
+            })
+            .collect()
+    })
+}
+
+/// Operations on the memory systems under test.
+#[derive(Debug, Clone)]
+enum MemOp {
+    Alloc(u64),
+    AllocHot(u64),
+    /// Free the i-th live block (modulo the live count).
+    Free(usize),
+    /// Access the i-th live block at an offset, for a length.
+    Access {
+        block: usize,
+        offset: u64,
+        len: u64,
+        write: bool,
+    },
+    Cpu(u64),
+    ResetStats,
+}
+
+fn mem_ops() -> impl Strategy<Value = Vec<MemOp>> {
+    prop::collection::vec(
+        prop_oneof![
+            4 => (1u64..300).prop_map(MemOp::Alloc),
+            2 => (1u64..64).prop_map(MemOp::AllocHot),
+            2 => (0usize..64).prop_map(MemOp::Free),
+            24 => (0usize..64, 0u64..300, 1u64..100, any::<bool>()).prop_map(
+                |(block, offset, len, write)| MemOp::Access { block, offset, len, write }
+            ),
+            2 => (0u64..20).prop_map(MemOp::Cpu),
+            1 => Just(MemOp::ResetStats),
+        ],
+        1..400,
+    )
 }
 
 fn heap_ops() -> impl Strategy<Value = Vec<HeapOp>> {
@@ -307,5 +393,88 @@ proptest! {
         prop_assert!(r.cycles > 0);
         prop_assert!(r.energy_nj > 0.0);
         prop_assert!(r.peak_footprint_bytes >= size);
+    }
+
+    /// Every lane of a multi-lane system reports exactly what a system
+    /// built for its configuration alone reports — cycles, energy bits,
+    /// L2 and DRAM counters — after every operation of a random
+    /// alloc/free/access stream, with and without an L2, under every
+    /// replacement policy.
+    #[test]
+    fn every_lane_matches_its_solo_system(lanes in lane_group(), ops in mem_ops()) {
+        let mut shared = MemorySystem::with_lanes(&lanes);
+        let mut solos: Vec<MemorySystem> = lanes.iter().map(|&c| MemorySystem::new(c)).collect();
+        prop_assert_eq!(shared.lanes(), lanes.len());
+        let mut live: Vec<(VirtAddr, u64)> = Vec::new();
+        for (i, op) in ops.iter().enumerate() {
+            match *op {
+                MemOp::Alloc(size) | MemOp::AllocHot(size) => {
+                    let hot = matches!(op, MemOp::AllocHot(_));
+                    let got = if hot { shared.alloc_hot(size) } else { shared.alloc(size) };
+                    for solo in &mut solos {
+                        let want = if hot { solo.alloc_hot(size) } else { solo.alloc(size) };
+                        prop_assert_eq!(&want, &got, "op {}", i);
+                    }
+                    if let Ok(addr) = got {
+                        live.push((addr, size));
+                    }
+                }
+                MemOp::Free(k) => {
+                    if live.is_empty() {
+                        continue;
+                    }
+                    let (addr, _) = live.remove(k % live.len());
+                    // Scratchpad blocks are never freed; their free is an
+                    // error on every system alike.
+                    let got = shared.free(addr);
+                    for solo in &mut solos {
+                        prop_assert_eq!(&solo.free(addr), &got, "op {}", i);
+                    }
+                }
+                MemOp::Access { block, offset, len, write } => {
+                    if live.is_empty() {
+                        continue;
+                    }
+                    let (addr, size) = live[block % live.len()];
+                    let offset = offset % size;
+                    let len = len.min(size - offset);
+                    let run = |m: &mut MemorySystem| {
+                        if write {
+                            m.write(addr.offset(offset), len)
+                        } else {
+                            m.read(addr.offset(offset), len)
+                        }
+                    };
+                    let got = run(&mut shared);
+                    let want = run(&mut solos[0]);
+                    prop_assert_eq!(want, got, "lane 0 cycles of op {}", i);
+                    for solo in &mut solos[1..] {
+                        run(solo);
+                    }
+                }
+                MemOp::Cpu(n) => {
+                    shared.touch_cpu(n);
+                    for solo in &mut solos {
+                        solo.touch_cpu(n);
+                    }
+                }
+                MemOp::ResetStats => {
+                    shared.reset_stats();
+                    for solo in &mut solos {
+                        solo.reset_stats();
+                    }
+                }
+            }
+            for (lane, solo) in solos.iter().enumerate() {
+                let (got, want) = (shared.lane_stats(lane), solo.stats());
+                prop_assert_eq!(got.energy_nj.to_bits(), want.energy_nj.to_bits(),
+                    "lane {} energy after op {} ({:?}) under {:?}", lane, i, op, lanes[lane]);
+                prop_assert_eq!(got, want, "lane {} after op {}", lane, i);
+                prop_assert_eq!(shared.lane_report(lane), solo.report());
+                prop_assert_eq!(shared.lane_l2_stats(lane), solo.l2_stats());
+                prop_assert_eq!(shared.lane_dram_stats(lane), solo.lane_dram_stats(0));
+                prop_assert_eq!(shared.cache_stats(), solo.cache_stats());
+            }
+        }
     }
 }

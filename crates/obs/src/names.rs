@@ -47,6 +47,7 @@ catalog! {
     ENGINE_STORE_CORRUPT = "engine.store.corrupt";
     ENGINE_STORE_READ_BYTES = "engine.store.read_bytes";
     ENGINE_SIM_EXECUTED = "engine.sim.executed";
+    ENGINE_SIM_PASSES = "engine.sim.passes";
     SERVE_REQUEST_HELLO = "serve.request.hello";
     SERVE_REQUEST_PING = "serve.request.ping";
     SERVE_REQUEST_STATS = "serve.request.stats";
