@@ -43,8 +43,9 @@
 //! DRAM. Every lane charges its own cycles and energy in the order a
 //! one-lane system would, so each lane's report is bit-identical to that
 //! system's (a property test checks this after every operation). A
-//! one-lane system takes the same path without the lane work: the line
-//! loop is one generic function, instantiated with and without lanes.
+//! one-lane system takes the same path without the lane work: a
+//! transaction is one generic function, instantiated with and without
+//! lanes, and `read` and `write` pick the instantiation.
 //!
 //! # Example
 //!

@@ -79,7 +79,9 @@ impl Below {
 ///
 /// Every lane charges the same cycles and energy except below the L1, and
 /// only about one line access in a hundred reaches below it. So the
-/// energy ledgers sit in pairs, one two-wide add charging two lanes, and
+/// energy ledgers sit in pairs, one two-wide add charging two lanes; a
+/// transaction's per-line data energy is charged when the transaction
+/// ends, or earlier, just before a line that reaches below the L1; and
 /// the cycle ledgers are kept as differences from lane 0, which only a
 /// transaction that reached below the L1 changes.
 #[derive(Debug, Clone, Default)]
@@ -93,6 +95,8 @@ struct MoreLanes {
     /// Cycles each lane's levels below the L1 added to the transaction in
     /// flight.
     pending: Vec<u64>,
+    /// Lines of the transaction in flight whose data energy is charged.
+    charged_lines: u64,
     /// Whether the transaction in flight reached below the L1.
     reached_below: bool,
 }
@@ -104,6 +108,7 @@ impl MoreLanes {
             energy_nj: vec![[0.0; 2]; cfgs.len().div_ceil(2)],
             cycles_over_lane0: vec![0; cfgs.len()],
             pending: vec![0; cfgs.len()],
+            charged_lines: 0,
             reached_below: false,
         }
     }
@@ -112,33 +117,31 @@ impl MoreLanes {
         self.below.is_empty()
     }
 
-    /// Adds the same energy to every lane.
+    /// Adds the same energy to every lane, `times` times over.
     #[inline]
-    fn add_all(&mut self, energy_nj: f64) {
+    fn add_all(&mut self, energy_nj: f64, times: u64) {
         for pair in &mut self.energy_nj {
-            pair[0] += energy_nj;
-            pair[1] += energy_nj;
+            for _ in 0..times {
+                pair[0] += energy_nj;
+                pair[1] += energy_nj;
+            }
         }
     }
 
-    /// One L1 line access, in the order lane 0 charges it: the data-array
-    /// energy, then the fill, then the writeback.
-    #[inline]
-    fn line(
+    /// Line `line` of the transaction in flight reached below the L1: a
+    /// fill, a writeback or both. Charges the data energy of the lines
+    /// up to it, then each lane's fill, then its writeback.
+    #[cold]
+    fn line_below(
         &mut self,
+        line: u64,
         data_nj: f64,
         fill: Option<VirtAddr>,
         victim: Option<VirtAddr>,
         dram_nj: f64,
     ) {
-        self.add_all(data_nj);
-        if fill.is_some() || victim.is_some() {
-            self.line_below(fill, victim, dram_nj);
-        }
-    }
-
-    #[cold]
-    fn line_below(&mut self, fill: Option<VirtAddr>, victim: Option<VirtAddr>, dram_nj: f64) {
+        self.add_all(data_nj, line + 1 - self.charged_lines);
+        self.charged_lines = line + 1;
         self.reached_below = true;
         for (j, below) in self.below.iter_mut().enumerate() {
             let energy_nj = &mut self.energy_nj[j / 2][j % 2];
@@ -151,19 +154,56 @@ impl MoreLanes {
         }
     }
 
-    /// Ends a transaction that cost lane 0 `lane0_cycles`, of which
-    /// `l1_cycles` were L1 latency: each lane pays the L1 latency plus
-    /// what its own levels below added, and the leakage of those cycles.
+    /// Ends a transaction of `lines` lines, each costing `data_nj` and
+    /// `l1_hit_cycles`, that cost lane 0 `lane0_cycles`: charges the
+    /// lines' data energy not yet charged, then each lane's cycles (the
+    /// L1 latency plus what its own levels below added) and their
+    /// leakage.
     #[inline]
-    fn finish(&mut self, lane0_cycles: u64, l1_cycles: u64, leakage_nj_per_cycle: f64) {
+    fn finish(
+        &mut self,
+        lines: u64,
+        data_nj: f64,
+        l1_hit_cycles: u64,
+        lane0_cycles: u64,
+        leakage_nj_per_cycle: f64,
+    ) {
         if !self.reached_below {
             // Every lane's transaction cost lane 0's cycles.
-            self.add_all(leakage_nj_per_cycle * lane0_cycles as f64);
+            let leakage_nj = leakage_nj_per_cycle * lane0_cycles as f64;
+            for pair in &mut self.energy_nj {
+                for _ in 0..lines {
+                    pair[0] += data_nj;
+                    pair[1] += data_nj;
+                }
+                pair[0] += leakage_nj;
+                pair[1] += leakage_nj;
+            }
             return;
         }
+        self.finish_below(
+            lines,
+            data_nj,
+            l1_hit_cycles,
+            lane0_cycles,
+            leakage_nj_per_cycle,
+        );
+    }
+
+    #[cold]
+    fn finish_below(
+        &mut self,
+        lines: u64,
+        data_nj: f64,
+        l1_hit_cycles: u64,
+        lane0_cycles: u64,
+        leakage_nj_per_cycle: f64,
+    ) {
+        self.add_all(data_nj, lines - self.charged_lines);
+        self.charged_lines = 0;
         self.reached_below = false;
         for j in 0..self.below.len() {
-            let cycles = l1_cycles + std::mem::take(&mut self.pending[j]);
+            let cycles = lines * l1_hit_cycles + std::mem::take(&mut self.pending[j]);
             self.energy_nj[j / 2][j % 2] += leakage_nj_per_cycle * cycles as f64;
             self.cycles_over_lane0[j] = self.cycles_over_lane0[j]
                 .wrapping_add(cycles)
@@ -432,7 +472,7 @@ impl MemorySystem {
     /// Returns the cycle cost of this transaction (on lane 0).
     #[inline]
     pub fn read(&mut self, addr: VirtAddr, size: u64) -> u64 {
-        self.transact(addr, size, false)
+        self.access(addr, size, false)
     }
 
     /// Issues a write of `size` bytes starting at `addr`.
@@ -440,7 +480,18 @@ impl MemorySystem {
     /// Returns the cycle cost of this transaction (on lane 0).
     #[inline]
     pub fn write(&mut self, addr: VirtAddr, size: u64) -> u64 {
-        self.transact(addr, size, true)
+        self.access(addr, size, true)
+    }
+
+    /// Runs one transaction through the one-lane or the multi-lane
+    /// instantiation of [`MemorySystem::transact`].
+    #[inline]
+    fn access(&mut self, addr: VirtAddr, size: u64, write: bool) -> u64 {
+        if self.more.is_empty() {
+            self.transact::<false>(addr, size, write)
+        } else {
+            self.transact::<true>(addr, size, write)
+        }
     }
 
     /// Charges `ops` pure CPU operations (comparisons, pointer arithmetic)
@@ -570,7 +621,7 @@ impl MemorySystem {
         self.cycles += cycles;
         self.energy_nj += energy_nj;
         if !self.more.is_empty() {
-            self.more.add_all(energy_nj);
+            self.more.add_all(energy_nj, 1);
         }
     }
 
@@ -594,9 +645,13 @@ impl MemorySystem {
         );
     }
 
-    /// One read or write transaction on every lane.
-    #[inline]
-    fn transact(&mut self, addr: VirtAddr, size: u64, write: bool) -> u64 {
+    /// One read or write transaction; with `LANES`, on lanes 1 and up
+    /// too. The one-lane instantiation is the whole access path of a
+    /// one-lane system, and both stay out of line: their callers are the
+    /// hundreds of modelled accesses in the DDT code. Returns lane 0's
+    /// cycles.
+    #[inline(never)]
+    fn transact<const LANES: bool>(&mut self, addr: VirtAddr, size: u64, write: bool) -> u64 {
         debug_assert!(size > 0, "zero-size transaction");
         if write {
             self.counts.writes += 1;
@@ -616,25 +671,6 @@ impl MemorySystem {
             );
             return cycles;
         }
-        if self.more.is_empty() {
-            self.lines::<false>(addr, size, write)
-        } else {
-            self.lines_on_every_lane(addr, size, write)
-        }
-    }
-
-    /// `lines::<true>`, kept out of line so that the one-lane path stays
-    /// as short as it was before lanes.
-    #[inline(never)]
-    fn lines_on_every_lane(&mut self, addr: VirtAddr, size: u64, write: bool) -> u64 {
-        self.lines::<true>(addr, size, write)
-    }
-
-    /// Drives the L1 lines of one transaction and charges them; with
-    /// `LANES`, on lanes 1 and up too. The one-lane instantiation is the
-    /// whole line path of a one-lane system. Returns lane 0's cycles.
-    #[inline(always)]
-    fn lines<const LANES: bool>(&mut self, addr: VirtAddr, size: u64, write: bool) -> u64 {
         let shift = self.line_shift;
         let first = addr.as_u64() >> shift;
         let last = addr.offset(size.saturating_sub(1)).as_u64() >> shift;
@@ -661,15 +697,16 @@ impl MemorySystem {
                     .below0
                     .serve(victim, true, dram_nj, &mut self.energy_nj);
             }
-            if LANES {
-                self.more.line(data_nj, fill, victim, dram_nj);
+            if LANES && (fill.is_some() || victim.is_some()) {
+                self.more
+                    .line_below(li - first, data_nj, fill, victim, dram_nj);
             }
         }
         self.cycles += cycles;
         self.energy_nj += leakage * cycles as f64;
         if LANES {
             self.more
-                .finish(cycles, (last - first + 1) * l1_hit_cycles, leakage);
+                .finish(last - first + 1, data_nj, l1_hit_cycles, cycles, leakage);
         }
         cycles
     }
