@@ -44,9 +44,8 @@
 //! one-lane system would, so each lane's report is bit-identical to that
 //! system's (a property test checks this after every operation). A
 //! one-lane system takes the same path without the lane work: a
-//! transaction's line loop is one generic function, instantiated with
-//! and without lanes, and the multi-lane instantiation stays out of the
-//! one-lane path.
+//! transaction is one generic function, instantiated with and without
+//! lanes, and `read` and `write` pick the instantiation.
 //!
 //! # Example
 //!

@@ -117,13 +117,6 @@ impl MoreLanes {
         self.below.is_empty()
     }
 
-    /// [`MoreLanes::add_all`] once, kept out of line so that the
-    /// one-lane callers of [`MemorySystem::touch_cpu`] stay short.
-    #[inline(never)]
-    fn charge_all(&mut self, energy_nj: f64) {
-        self.add_all(energy_nj, 1);
-    }
-
     /// Adds the same energy to every lane, `times` times over.
     #[inline]
     fn add_all(&mut self, energy_nj: f64, times: u64) {
@@ -479,7 +472,7 @@ impl MemorySystem {
     /// Returns the cycle cost of this transaction (on lane 0).
     #[inline]
     pub fn read(&mut self, addr: VirtAddr, size: u64) -> u64 {
-        self.transact(addr, size, false)
+        self.access(addr, size, false)
     }
 
     /// Issues a write of `size` bytes starting at `addr`.
@@ -487,7 +480,18 @@ impl MemorySystem {
     /// Returns the cycle cost of this transaction (on lane 0).
     #[inline]
     pub fn write(&mut self, addr: VirtAddr, size: u64) -> u64 {
-        self.transact(addr, size, true)
+        self.access(addr, size, true)
+    }
+
+    /// Runs one transaction through the one-lane or the multi-lane
+    /// instantiation of [`MemorySystem::transact`].
+    #[inline]
+    fn access(&mut self, addr: VirtAddr, size: u64, write: bool) -> u64 {
+        if self.more.is_empty() {
+            self.transact::<false>(addr, size, write)
+        } else {
+            self.transact::<true>(addr, size, write)
+        }
     }
 
     /// Charges `ops` pure CPU operations (comparisons, pointer arithmetic)
@@ -617,7 +621,7 @@ impl MemorySystem {
         self.cycles += cycles;
         self.energy_nj += energy_nj;
         if !self.more.is_empty() {
-            self.more.charge_all(energy_nj);
+            self.more.add_all(energy_nj, 1);
         }
     }
 
@@ -641,9 +645,13 @@ impl MemorySystem {
         );
     }
 
-    /// One read or write transaction. Returns lane 0's cycles.
-    #[inline]
-    fn transact(&mut self, addr: VirtAddr, size: u64, write: bool) -> u64 {
+    /// One read or write transaction; with `LANES`, on lanes 1 and up
+    /// too. The one-lane instantiation is the whole access path of a
+    /// one-lane system, and both stay out of line: their callers are the
+    /// hundreds of modelled accesses in the DDT code. Returns lane 0's
+    /// cycles.
+    #[inline(never)]
+    fn transact<const LANES: bool>(&mut self, addr: VirtAddr, size: u64, write: bool) -> u64 {
         debug_assert!(size > 0, "zero-size transaction");
         if write {
             self.counts.writes += 1;
@@ -663,25 +671,6 @@ impl MemorySystem {
             );
             return cycles;
         }
-        if self.more.is_empty() {
-            self.lines::<false>(addr, size, write)
-        } else {
-            self.lines_on_every_lane(addr, size, write)
-        }
-    }
-
-    /// `lines::<true>`, kept out of line so that a one-lane system's
-    /// transactions stay as short as they were before lanes.
-    #[inline(never)]
-    fn lines_on_every_lane(&mut self, addr: VirtAddr, size: u64, write: bool) -> u64 {
-        self.lines::<true>(addr, size, write)
-    }
-
-    /// Drives the L1 lines of one transaction and charges them; with
-    /// `LANES`, on lanes 1 and up too. The one-lane instantiation is the
-    /// whole line path of a one-lane system. Returns lane 0's cycles.
-    #[inline(always)]
-    fn lines<const LANES: bool>(&mut self, addr: VirtAddr, size: u64, write: bool) -> u64 {
         let shift = self.line_shift;
         let first = addr.as_u64() >> shift;
         let last = addr.offset(size.saturating_sub(1)).as_u64() >> shift;
