@@ -1,8 +1,9 @@
 //! Property-based tests for the simulated memory subsystem.
 
 use ddtr_mem::{
-    Cache, CacheConfig, CacheStats, FitPolicy, LineAccess, MemoryConfig, MemorySystem,
-    ReplacementPolicy, SimAllocator, SpmConfig, VirtAddr,
+    AllocError, Cache, CacheConfig, CacheStats, CostReport, DramStats, EnergyModel, FitPolicy,
+    LineAccess, MemStats, MemoryConfig, MemorySystem, ReplacementPolicy, SimAllocator, SpmConfig,
+    VirtAddr,
 };
 use proptest::prelude::*;
 
@@ -106,6 +107,182 @@ impl RefCache {
     }
 }
 
+/// Base of the scratchpad region: the system places it at this fixed
+/// address, below every heap base `MemoryConfig::validate` accepts.
+const SPM_BASE: u64 = 0x100;
+
+/// Reference model of a one-lane [`MemorySystem`]: a [`RefCache`] L1, an
+/// optional [`RefCache`] L2, a [`SimAllocator`] and DRAM transfer counts.
+/// It charges a transaction one line at a time in the documented order —
+/// for each line the L1 hit cycles, then the data-array energy, then the
+/// fill, then the writeback — and then the transaction's leakage, and it
+/// derives every energy from the [`EnergyModel`] when it charges it.
+struct RefSystem {
+    cfg: MemoryConfig,
+    energy: EnergyModel,
+    heap: SimAllocator,
+    spm_next: u64,
+    l1: RefCache,
+    l2: Option<RefCache>,
+    dram: DramStats,
+    stats: MemStats,
+}
+
+impl RefSystem {
+    fn new(cfg: MemoryConfig) -> Self {
+        RefSystem {
+            cfg,
+            energy: EnergyModel::from_configs(&cfg.l1, &cfg.dram),
+            heap: SimAllocator::with_policy(cfg.heap_base, cfg.dram.capacity_bytes, cfg.fit_policy),
+            spm_next: SPM_BASE,
+            l1: RefCache::new(cfg.l1),
+            l2: cfg.l2.map(RefCache::new),
+            dram: DramStats::default(),
+            stats: MemStats::default(),
+        }
+    }
+
+    fn charge(&mut self, cycles: u64, energy_nj: f64) {
+        self.stats.cycles += cycles;
+        self.stats.energy_nj += energy_nj;
+    }
+
+    /// Allocator metadata: L1-resident accesses, half of them reads.
+    fn charge_meta(&mut self, accesses: u64, cycles: u64) {
+        self.stats.reads += accesses / 2;
+        self.stats.writes += accesses - accesses / 2;
+        let energy_nj = self.energy.l1_access_nj * accesses as f64
+            + self.energy.leakage_nj_per_cycle * cycles as f64;
+        self.charge(cycles + accesses * self.cfg.l1.hit_cycles, energy_nj);
+    }
+
+    fn alloc(&mut self, size: u64) -> Result<VirtAddr, AllocError> {
+        let addr = self.heap.alloc(size)?;
+        let cost = self.cfg.alloc_cost;
+        self.charge_meta(cost.accesses_per_alloc, cost.cycles_per_alloc);
+        self.stats.allocs += 1;
+        Ok(addr)
+    }
+
+    fn alloc_hot(&mut self, size: u64) -> Result<VirtAddr, AllocError> {
+        if let Some(spm) = self.cfg.spm {
+            let aligned = size.div_ceil(8) * 8;
+            if self.spm_next + aligned <= SPM_BASE + spm.capacity_bytes {
+                let addr = VirtAddr::new(self.spm_next);
+                self.spm_next += aligned;
+                return Ok(addr);
+            }
+        }
+        self.alloc(size)
+    }
+
+    fn free(&mut self, addr: VirtAddr) -> Result<(), AllocError> {
+        self.heap.free(addr)?;
+        let cost = self.cfg.alloc_cost;
+        self.charge_meta(cost.accesses_per_free, cost.cycles_per_free);
+        self.stats.frees += 1;
+        Ok(())
+    }
+
+    fn touch_cpu(&mut self, ops: u64) {
+        let cycles = ops * self.cfg.cpu_op_cycles;
+        self.charge(cycles, self.energy.leakage_nj_per_cycle * cycles as f64);
+    }
+
+    /// One transaction; returns its cycles.
+    fn access(&mut self, addr: VirtAddr, size: u64, write: bool) -> u64 {
+        if write {
+            self.stats.writes += 1;
+            self.stats.write_bytes += size;
+        } else {
+            self.stats.reads += 1;
+            self.stats.read_bytes += size;
+        }
+        let leakage = self.energy.leakage_nj_per_cycle;
+        if let Some(spm) = self.cfg.spm {
+            if (SPM_BASE..SPM_BASE + spm.capacity_bytes).contains(&addr.as_u64()) {
+                let spm_nj =
+                    EnergyModel::sram_access_nj(spm.capacity_bytes, self.cfg.l1.line_bytes, 1);
+                let cycles = spm.access_cycles;
+                self.charge(cycles, spm_nj + leakage * cycles as f64);
+                return cycles;
+            }
+        }
+        let line_bytes = self.cfg.l1.line_bytes;
+        let data_nj = self
+            .energy
+            .data_access_nj(self.heap.stats().live_gross_bytes);
+        let first = addr.line_index(line_bytes);
+        let last = addr.offset(size - 1).line_index(line_bytes);
+        let mut cycles = 0;
+        for line in first..=last {
+            let line_addr = VirtAddr::new(line * line_bytes);
+            let outcome = self.l1.access_line(line_addr, write);
+            cycles += self.cfg.l1.hit_cycles;
+            self.stats.energy_nj += data_nj;
+            if !outcome.hit {
+                cycles += self.below_l1(line_addr, false);
+            }
+            if let Some(victim) = outcome.victim_line {
+                cycles += self.below_l1(VirtAddr::new(victim * line_bytes), true);
+            }
+        }
+        self.stats.cycles += cycles;
+        self.stats.energy_nj += leakage * cycles as f64;
+        cycles
+    }
+
+    /// An L1 fill (`write == false`) or dirty writeback, served by the L2
+    /// when there is one and by DRAM on an L2 miss or writeback, or by
+    /// DRAM alone; returns its cycles.
+    fn below_l1(&mut self, line: VirtAddr, write: bool) -> u64 {
+        let dram_nj = self.energy.dram_access_nj;
+        let dram_cycles = self.cfg.dram.access_cycles;
+        let Some(l2) = &mut self.l2 else {
+            self.stats.energy_nj += dram_nj;
+            if write {
+                self.dram.writes += 1;
+            } else {
+                self.dram.reads += 1;
+            }
+            return dram_cycles;
+        };
+        let outcome = l2.access_line(line, write);
+        let mut cycles = l2.cfg.hit_cycles;
+        self.stats.energy_nj +=
+            EnergyModel::sram_access_nj(l2.cfg.capacity_bytes, l2.cfg.line_bytes, l2.cfg.ways);
+        if !outcome.hit {
+            cycles += dram_cycles;
+            self.dram.reads += 1;
+            self.stats.energy_nj += dram_nj;
+        }
+        if outcome.writeback {
+            cycles += dram_cycles;
+            self.dram.writes += 1;
+            self.stats.energy_nj += dram_nj;
+        }
+        cycles
+    }
+
+    fn reset_stats(&mut self) {
+        self.stats = MemStats::default();
+        self.l1.stats = CacheStats::default();
+        if let Some(l2) = &mut self.l2 {
+            l2.stats = CacheStats::default();
+        }
+        self.dram = DramStats::default();
+    }
+
+    fn report(&self) -> CostReport {
+        CostReport {
+            accesses: self.stats.reads + self.stats.writes,
+            cycles: self.stats.cycles,
+            energy_nj: self.stats.energy_nj,
+            peak_footprint_bytes: self.heap.stats().peak_gross_bytes,
+        }
+    }
+}
+
 /// Cache geometries with power-of-two and other set counts (1..=96), 1–16
 /// ways, 1–128-byte lines and every replacement policy.
 fn geometries() -> impl Strategy<Value = CacheConfig> {
@@ -183,6 +360,52 @@ fn lane_group() -> impl Strategy<Value = Vec<MemoryConfig>> {
             })
             .collect()
     })
+}
+
+/// One platform: an L1 of 8- to 64-byte lines, 1–6 sets (power-of-two
+/// and other counts), 1–4 ways, 1–3 hit cycles and any replacement
+/// policy; with or without an L2 of any set count, latency and policy;
+/// with or without a scratchpad; a first- or best-fit heap.
+fn platform() -> impl Strategy<Value = MemoryConfig> {
+    let l1 = (3u32..7, 1u64..=6, 1u32..=4, 1u64..=3, 0usize..3);
+    let l2 = (any::<bool>(), 1u64..=12, 1u32..=8, 1u64..=12, 0usize..3);
+    let rest = (0u64..3, 0usize..2, 1u64..=3);
+    (l1, l2, rest).prop_map(
+        |(
+            (line_log2, sets, ways, hit_cycles, policy),
+            (has_l2, l2_sets, l2_ways, l2_hit_cycles, l2_policy),
+            (spm_quarter_kib, fit, cpu_op_cycles),
+        )| {
+            let line_bytes = 1u64 << line_log2;
+            let l1_lines = sets * u64::from(ways);
+            MemoryConfig {
+                l1: CacheConfig {
+                    capacity_bytes: l1_lines * line_bytes,
+                    line_bytes,
+                    ways,
+                    hit_cycles,
+                    replacement: POLICIES[policy],
+                },
+                // The L2 holds more lines than the L1.
+                l2: has_l2.then(|| CacheConfig {
+                    capacity_bytes: l2_sets.max(l1_lines / u64::from(l2_ways) + 1)
+                        * u64::from(l2_ways)
+                        * line_bytes,
+                    line_bytes,
+                    ways: l2_ways,
+                    hit_cycles: l2_hit_cycles,
+                    replacement: POLICIES[l2_policy],
+                }),
+                spm: (spm_quarter_kib > 0).then_some(SpmConfig {
+                    capacity_bytes: spm_quarter_kib * 256,
+                    access_cycles: 2,
+                }),
+                fit_policy: [FitPolicy::FirstFit, FitPolicy::BestFit][fit],
+                cpu_op_cycles,
+                ..MemoryConfig::tiny_for_tests()
+            }
+        },
+    )
 }
 
 /// Operations on the memory systems under test.
@@ -475,6 +698,64 @@ proptest! {
                 prop_assert_eq!(shared.lane_dram_stats(lane), solo.lane_dram_stats(0));
                 prop_assert_eq!(shared.cache_stats(), solo.cache_stats());
             }
+        }
+    }
+
+    /// A one-lane system keeps the reference model's ledgers after every
+    /// operation of a random alloc/alloc_hot/free/access/cpu/reset
+    /// stream: same addresses and transaction cycles, same report (energy
+    /// by bits), counts, L1 and L2 statistics and DRAM transfers.
+    #[test]
+    fn memory_system_matches_reference_model(cfg in platform(), ops in mem_ops()) {
+        let mut sys = MemorySystem::new(cfg);
+        let mut model = RefSystem::new(cfg);
+        let mut live: Vec<(VirtAddr, u64)> = Vec::new();
+        for (i, op) in ops.iter().enumerate() {
+            match *op {
+                MemOp::Alloc(size) => {
+                    let got = sys.alloc(size);
+                    prop_assert_eq!(&got, &model.alloc(size), "op {}", i);
+                    live.extend(got.ok().map(|addr| (addr, size)));
+                }
+                MemOp::AllocHot(size) => {
+                    let got = sys.alloc_hot(size);
+                    prop_assert_eq!(&got, &model.alloc_hot(size), "op {}", i);
+                    live.extend(got.ok().map(|addr| (addr, size)));
+                }
+                MemOp::Free(k) => {
+                    if live.is_empty() {
+                        continue;
+                    }
+                    let (addr, _) = live.remove(k % live.len());
+                    prop_assert_eq!(sys.free(addr), model.free(addr), "op {}", i);
+                }
+                MemOp::Access { block, offset, len, write } => {
+                    if live.is_empty() {
+                        continue;
+                    }
+                    let (addr, size) = live[block % live.len()];
+                    let offset = offset % size;
+                    let (addr, len) = (addr.offset(offset), len.min(size - offset));
+                    let got = if write { sys.write(addr, len) } else { sys.read(addr, len) };
+                    prop_assert_eq!(got, model.access(addr, len, write), "op {}", i);
+                }
+                MemOp::Cpu(n) => {
+                    sys.touch_cpu(n);
+                    model.touch_cpu(n);
+                }
+                MemOp::ResetStats => {
+                    sys.reset_stats();
+                    model.reset_stats();
+                }
+            }
+            let (got, want) = (sys.report(), model.report());
+            prop_assert_eq!(got.energy_nj.to_bits(), want.energy_nj.to_bits(),
+                "energy after op {} ({:?}) under {:?}", i, op, cfg);
+            prop_assert_eq!(got, want, "report after op {}", i);
+            prop_assert_eq!(sys.stats(), model.stats, "stats after op {}", i);
+            prop_assert_eq!(sys.cache_stats(), model.l1.stats, "L1 after op {}", i);
+            prop_assert_eq!(sys.l2_stats(), model.l2.as_ref().map(|l2| l2.stats));
+            prop_assert_eq!(sys.lane_dram_stats(0), model.dram, "DRAM after op {}", i);
         }
     }
 }
