@@ -522,15 +522,15 @@ fn roving_pointers(_: &mut ExploreEngine) -> String {
 }
 
 /// The front of DRR's 100 combinations on BWY-I (300 packets) under an
-/// energy model whose L1 and backing-store energies are scaled
-/// independently: a uniform scale cannot reorder one metric, a ratio
-/// change can. The scaling lives outside `MemoryConfig`, and so outside
-/// the engine's cache key, so this study drives the memory system itself.
-fn front_under(l1_scale: f64, dram_scale: f64) -> BTreeSet<String> {
+/// energy model whose on-chip (L1 and data array) and backing-store
+/// energies are scaled independently: a uniform scale cannot reorder one
+/// metric, a ratio change can. The scaling lives outside `MemoryConfig`,
+/// and so outside the engine's cache key, so this study drives the memory
+/// system itself.
+fn front_under(on_chip_scale: f64, dram_scale: f64) -> BTreeSet<String> {
     let mem_cfg = MemoryConfig::embedded_default();
-    let mut energy = EnergyModel::from_configs(&mem_cfg.l1, &mem_cfg.dram);
-    energy.l1_access_nj *= l1_scale;
-    energy.dram_access_nj *= dram_scale;
+    let energy = EnergyModel::from_configs(&mem_cfg.l1, &mem_cfg.dram)
+        .scaled_apart(on_chip_scale, dram_scale);
     let params = AppParams::default();
     let workload = stream(NetworkPreset::DartmouthBerry.spec(), 300);
     let simulate = |combo| {
@@ -550,20 +550,24 @@ fn front_under(l1_scale: f64, dram_scale: f64) -> BTreeSet<String> {
 fn energy_model(_: &mut ExploreEngine) -> String {
     let nominal = front_under(1.0, 1.0);
     let scales = [(0.25, 1.0), (4.0, 1.0), (1.0, 0.25), (1.0, 4.0), (0.5, 2.0)];
-    let rows = scales.map(|(l1, dram)| {
-        let perturbed = front_under(l1, dram);
+    let rows = scales.map(|(on_chip, dram)| {
+        let perturbed = front_under(on_chip, dram);
         let (size, kept) = (perturbed.len(), nominal.intersection(&perturbed).count());
         let jaccard = kept as f64 / nominal.union(&perturbed).count() as f64;
         let of = nominal.len();
-        format!("x{l1} | x{dram} | {size} | {kept}/{of} | {jaccard:.2}")
+        format!("x{on_chip} | x{dram} | {size} | {kept}/{of} | {jaccard:.2}")
     });
     let members: Vec<&str> = nominal.iter().map(String::as_str).collect();
     format!(
-        "DRR's Pareto front on BWY-I at 300 packets when the L1 and backing-store \
-         access energies are scaled apart; the nominal front has {} points: {}.\n\n{}",
+        "DRR's Pareto front on BWY-I at 300 packets when the on-chip (L1 and data \
+         array) and backing-store access energies are scaled apart; the nominal front \
+         has {} points: {}.\n\n{}",
         nominal.len(),
         members.join(", "),
-        table("L1 | backing | front | nominal retained | Jaccard", rows)
+        table(
+            "on-chip | backing | front | nominal retained | Jaccard",
+            rows
+        )
     )
 }
 

@@ -44,6 +44,10 @@ pub struct EnergyModel {
     /// Static/leakage energy charged per cycle, nJ (kept tiny; the paper's
     /// metric is dominated by dynamic access energy).
     pub leakage_nj_per_cycle: f64,
+    /// Factor on [`EnergyModel::data_access_nj`]: 1 in a model from
+    /// [`EnergyModel::from_configs`]; the scalings multiply it with
+    /// `l1_access_nj`, since the data array is on-chip SRAM too.
+    data_scale: f64,
 }
 
 impl EnergyModel {
@@ -62,6 +66,7 @@ impl EnergyModel {
             dram_access_nj,
             footprint_ref_bytes: 8.0 * 1024.0,
             leakage_nj_per_cycle: 1e-4,
+            data_scale: 1.0,
         }
     }
 
@@ -74,9 +79,10 @@ impl EnergyModel {
     /// *every* access costs more — energy grows with the square root of
     /// capacity while latency (cycles) is unaffected at this abstraction
     /// level. The modelled capacity is clamped to `[1 KiB, 256 KiB]`.
+    /// Every L1 line access is charged this energy.
     #[must_use]
     pub fn data_access_nj(&self, live_bytes: u64) -> f64 {
-        Self::sram_access_nj(live_bytes.clamp(1 << 10, 1 << 18), 32, 1)
+        Self::sram_access_nj(live_bytes.clamp(1 << 10, 1 << 18), 32, 1) * self.data_scale
     }
 
     /// CACTI-like SRAM access energy in nanojoules.
@@ -96,11 +102,30 @@ impl EnergyModel {
     /// ablation to check Pareto-front stability under perturbed constants).
     #[must_use]
     pub fn scaled(self, factor: f64) -> Self {
+        self.scaled_apart(factor, factor)
+    }
+
+    /// Scales the on-chip dynamic energies — the L1 and the data array
+    /// ([`EnergyModel::data_access_nj`]) — by `on_chip` and the backing
+    /// store's by `backing`; leakage is kept.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use ddtr_mem::{CacheConfig, DramConfig, EnergyModel};
+    ///
+    /// let model = EnergyModel::from_configs(&CacheConfig::default(), &DramConfig::default());
+    /// let scaled = model.scaled_apart(4.0, 1.0);
+    /// assert_eq!(scaled.data_access_nj(4096), 4.0 * model.data_access_nj(4096));
+    /// assert_eq!(scaled.dram_access_nj, model.dram_access_nj);
+    /// ```
+    #[must_use]
+    pub fn scaled_apart(self, on_chip: f64, backing: f64) -> Self {
         EnergyModel {
-            l1_access_nj: self.l1_access_nj * factor,
-            dram_access_nj: self.dram_access_nj * factor,
-            footprint_ref_bytes: self.footprint_ref_bytes,
-            leakage_nj_per_cycle: self.leakage_nj_per_cycle,
+            l1_access_nj: self.l1_access_nj * on_chip,
+            dram_access_nj: self.dram_access_nj * backing,
+            data_scale: self.data_scale * on_chip,
+            ..self
         }
     }
 }
@@ -135,6 +160,7 @@ mod tests {
         let s = m.scaled(2.0);
         assert!((s.l1_access_nj - 2.0 * m.l1_access_nj).abs() < 1e-12);
         assert!((s.dram_access_nj - 2.0 * m.dram_access_nj).abs() < 1e-12);
+        assert_eq!(s.data_access_nj(4096), 2.0 * m.data_access_nj(4096));
         assert_eq!(s.leakage_nj_per_cycle, m.leakage_nj_per_cycle);
     }
 

@@ -837,5 +837,14 @@ mod tests {
         m2.read(a2, 8);
         // dynamic part doubles; leakage identical and tiny
         assert!(m2.stats().energy_nj > 1.9 * m1.stats().energy_nj);
+        // An L1 hit costs the data array's energy, which doubles too.
+        let (e1, e2) = (m1.stats().energy_nj, m2.stats().energy_nj);
+        assert_eq!(m1.read(a1, 8), m1.config().l1.hit_cycles);
+        m2.read(a2, 8);
+        let (hit1, hit2) = (m1.stats().energy_nj - e1, m2.stats().energy_nj - e2);
+        assert!(
+            hit2 > 1.9 * hit1,
+            "hit energy {hit1} nJ scaled to {hit2} nJ"
+        );
     }
 }
