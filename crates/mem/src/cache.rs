@@ -173,41 +173,69 @@ impl Cache {
     /// next-level set.
     #[inline(always)]
     pub fn access_line(&mut self, addr: VirtAddr, write: bool) -> LineAccess {
-        self.clock += 1;
         let line = addr.as_u64() >> self.line_shift;
         let (set, tag) = match self.index {
             SetIndex::Pow2 { mask, shift } => (line & mask, line >> shift),
             SetIndex::Modulo(n_sets) => (line % n_sets, line / n_sets),
         };
-        let first = set as usize * self.n_ways;
-        let ways = &mut self.ways[first..first + self.n_ways];
-        let dirty = u64::from(write);
-
-        if let Some(way) = ways.iter_mut().find(|w| w[TAG] == tag && w[STAMP] != 0) {
-            // FIFO and Random keep the fill-time stamp; only LRU refreshes
-            // recency on a hit.
-            if self.cfg.replacement == ReplacementPolicy::Lru {
-                way[STAMP] = self.clock << 1 | (way[STAMP] & 1);
-            }
-            way[STAMP] |= dirty;
-            if write {
-                self.stats.write_hits += 1;
-            } else {
-                self.stats.read_hits += 1;
-            }
+        if self.hit(set, tag, write) {
             return LineAccess {
                 hit: true,
                 writeback: false,
                 victim_line: None,
             };
         }
+        self.fill(set, tag, write)
+    }
 
-        // Miss: allocate (write-allocate policy) over the victim way.
+    /// Serves line index `line` when it is resident and the set count is
+    /// a power of two, as [`Cache::hit`] does; returns `false`, having
+    /// changed nothing, otherwise.
+    #[inline(always)]
+    pub(crate) fn hit_pow2(&mut self, line: u64, write: bool) -> bool {
+        match self.index {
+            SetIndex::Pow2 { mask, shift } => self.hit(line & mask, line >> shift, write),
+            SetIndex::Modulo(_) => false,
+        }
+    }
+
+    /// The lookup-and-refresh primitive: when `tag` is resident in `set`,
+    /// ticks the clock, refreshes the way's recency (LRU only), dirties it
+    /// on a write, counts the hit and returns `true`. On a miss it changes
+    /// nothing, so the miss path ticks the clock once.
+    #[inline(always)]
+    fn hit(&mut self, set: u64, tag: u64, write: bool) -> bool {
+        let first = set as usize * self.n_ways;
+        let ways = &mut self.ways[first..first + self.n_ways];
+        let Some(way) = ways.iter_mut().find(|w| w[TAG] == tag && w[STAMP] != 0) else {
+            return false;
+        };
+        self.clock += 1;
+        // FIFO and Random keep the fill-time stamp; only LRU refreshes
+        // recency on a hit.
+        if self.cfg.replacement == ReplacementPolicy::Lru {
+            way[STAMP] = self.clock << 1 | (way[STAMP] & 1);
+        }
+        way[STAMP] |= u64::from(write);
+        if write {
+            self.stats.write_hits += 1;
+        } else {
+            self.stats.read_hits += 1;
+        }
+        true
+    }
+
+    /// The miss path: ticks the clock, counts the miss and allocates
+    /// (write-allocate policy) over the victim way of `set`.
+    fn fill(&mut self, set: u64, tag: u64, write: bool) -> LineAccess {
+        self.clock += 1;
         if write {
             self.stats.write_misses += 1;
         } else {
             self.stats.read_misses += 1;
         }
+        let first = set as usize * self.n_ways;
+        let ways = &mut self.ways[first..first + self.n_ways];
         let victim = if let Some(invalid) = ways.iter().position(|w| w[STAMP] == 0) {
             invalid
         } else {
@@ -237,7 +265,7 @@ impl Cache {
             self.stats.writebacks += 1;
         }
         let victim_line = writeback.then(|| way[TAG] * self.n_sets + set);
-        *way = [tag, self.clock << 1 | dirty];
+        *way = [tag, self.clock << 1 | u64::from(write)];
         LineAccess {
             hit: false,
             writeback,

@@ -128,6 +128,18 @@ impl MoreLanes {
         }
     }
 
+    /// Charges every lane a one-line L1 hit: its data energy, then its
+    /// leakage. Out of line, so the in-line hit stays small.
+    #[inline(never)]
+    fn charge_hit(&mut self, data_nj: f64, leakage_nj: f64) {
+        for pair in &mut self.energy_nj {
+            pair[0] += data_nj;
+            pair[1] += data_nj;
+            pair[0] += leakage_nj;
+            pair[1] += leakage_nj;
+        }
+    }
+
     /// Line `line` of the transaction in flight reached below the L1: a
     /// fill, a writeback or both. Charges the data energy of the lines
     /// up to it, then each lane's fill, then its writeback.
@@ -272,14 +284,18 @@ pub struct MemorySystem {
     /// size; only `alloc` and `free` change that size, so only they
     /// refresh it.
     data_access_nj: f64,
+    /// Leakage of one L1 hit, `leakage_nj_per_cycle × l1.hit_cycles`: the
+    /// product the general path forms for a one-line hit.
+    l1_hit_leakage_nj: f64,
     /// `log2` of the (validated power-of-two) L1 line size.
     line_shift: u32,
     /// The access, byte and allocation counts every lane shares. Its
     /// `cycles` and `energy_nj` stay zero: each lane keeps its own.
     counts: MemStats,
     /// Lane 0's levels below the L1 and its ledger, held apart from the
-    /// other lanes so that a one-lane system's access path stays
-    /// straight-line code.
+    /// other lanes so that the in-line L1 hit charges lane 0 with plain
+    /// adds to fields of this struct and a one-lane system does no lane
+    /// work.
     below0: Below,
     cycles: u64,
     energy_nj: f64,
@@ -345,7 +361,7 @@ impl MemorySystem {
             .spm
             .map(|s| EnergyModel::sram_access_nj(s.capacity_bytes, cfg.l1.line_bytes, 1))
             .unwrap_or(0.0);
-        MemorySystem {
+        let mut sys = MemorySystem {
             cfg,
             alloc: SimAllocator::with_policy(
                 cfg.heap_base,
@@ -356,14 +372,17 @@ impl MemorySystem {
             energy,
             spm_next: SPM_BASE,
             spm_access_nj,
-            data_access_nj: energy.data_access_nj(0),
+            data_access_nj: 0.0,
+            l1_hit_leakage_nj: 0.0,
             line_shift: cfg.l1.line_bytes.trailing_zeros(),
             counts: MemStats::default(),
             below0: Below::new(&cfg),
             cycles: 0,
             energy_nj: 0.0,
             more: MoreLanes::new(rest),
-        }
+        };
+        sys.use_energy_model(energy);
+        sys
     }
 
     /// Builds the memory system but with an explicit (e.g. perturbed)
@@ -371,8 +390,7 @@ impl MemorySystem {
     #[must_use]
     pub fn with_energy_model(cfg: MemoryConfig, energy: EnergyModel) -> Self {
         let mut sys = Self::new(cfg);
-        sys.energy = energy;
-        sys.refresh_data_access_nj();
+        sys.use_energy_model(energy);
         sys
     }
 
@@ -470,7 +488,7 @@ impl MemorySystem {
     /// Issues a read of `size` bytes starting at `addr`.
     ///
     /// Returns the cycle cost of this transaction (on lane 0).
-    #[inline]
+    #[inline(always)]
     pub fn read(&mut self, addr: VirtAddr, size: u64) -> u64 {
         self.access(addr, size, false)
     }
@@ -478,19 +496,46 @@ impl MemorySystem {
     /// Issues a write of `size` bytes starting at `addr`.
     ///
     /// Returns the cycle cost of this transaction (on lane 0).
-    #[inline]
+    #[inline(always)]
     pub fn write(&mut self, addr: VirtAddr, size: u64) -> u64 {
         self.access(addr, size, true)
     }
 
-    /// Runs one transaction through the one-lane or the multi-lane
-    /// instantiation of [`MemorySystem::transact`].
-    #[inline]
+    /// Runs one transaction. The common one — one line, outside the
+    /// scratchpad, an L1 hit on an L1 whose set count is a power of two —
+    /// is served here, in line at the call site, exactly as the general
+    /// path, [`MemorySystem::transact`], would serve it; the lookup
+    /// changes nothing when it misses, and everything else takes that
+    /// path.
+    #[inline(always)]
     fn access(&mut self, addr: VirtAddr, size: u64, write: bool) -> u64 {
-        if self.more.is_empty() {
-            self.transact::<false>(addr, size, write)
+        let shift = self.line_shift;
+        let line = addr.as_u64() >> shift;
+        let one_line = addr.offset(size.saturating_sub(1)).as_u64() >> shift == line;
+        if one_line && !self.is_spm_addr(addr) && self.l1.hit_pow2(line, write) {
+            self.count(size, write);
+            let cycles = self.cfg.l1.hit_cycles;
+            self.cycles += cycles;
+            self.energy_nj += self.data_access_nj;
+            self.energy_nj += self.l1_hit_leakage_nj;
+            if !self.more.is_empty() {
+                self.more
+                    .charge_hit(self.data_access_nj, self.l1_hit_leakage_nj);
+            }
+            return cycles;
+        }
+        self.transact(addr, size, write)
+    }
+
+    /// Counts one transaction of `size` bytes.
+    #[inline(always)]
+    fn count(&mut self, size: u64, write: bool) {
+        if write {
+            self.counts.writes += 1;
+            self.counts.write_bytes += size;
         } else {
-            self.transact::<true>(addr, size, write)
+            self.counts.reads += 1;
+            self.counts.read_bytes += size;
         }
     }
 
@@ -625,6 +670,14 @@ impl MemorySystem {
         }
     }
 
+    /// Installs `energy` and refreshes the per-access energies derived
+    /// from it.
+    fn use_energy_model(&mut self, energy: EnergyModel) {
+        self.energy = energy;
+        self.l1_hit_leakage_nj = energy.leakage_nj_per_cycle * self.cfg.l1.hit_cycles as f64;
+        self.refresh_data_access_nj();
+    }
+
     /// CACTI effect: the data memory serving the heap is sized to what
     /// the application allocates, so its per-access energy depends on the
     /// live footprint (latency does not, at this abstraction).
@@ -645,21 +698,16 @@ impl MemorySystem {
         );
     }
 
-    /// One read or write transaction; with `LANES`, on lanes 1 and up
-    /// too. The one-lane instantiation is the whole access path of a
-    /// one-lane system, and both stay out of line: their callers are the
-    /// hundreds of modelled accesses in the DDT code. Returns lane 0's
-    /// cycles.
+    /// The general path: one read or write transaction on every lane,
+    /// line by line. It serves what the in-line L1 hit does not:
+    /// transactions that span lines, L1 misses and their service below
+    /// the L1, scratchpad accesses and L1s of other set counts. Out of
+    /// line, because its callers are the hundreds of modelled accesses in
+    /// the DDT code. Returns lane 0's cycles.
     #[inline(never)]
-    fn transact<const LANES: bool>(&mut self, addr: VirtAddr, size: u64, write: bool) -> u64 {
+    fn transact(&mut self, addr: VirtAddr, size: u64, write: bool) -> u64 {
         debug_assert!(size > 0, "zero-size transaction");
-        if write {
-            self.counts.writes += 1;
-            self.counts.write_bytes += size;
-        } else {
-            self.counts.reads += 1;
-            self.counts.read_bytes += size;
-        }
+        self.count(size, write);
         if self.is_spm_addr(addr) {
             // Scratchpad access: fixed latency, small fixed energy, no
             // cache involvement.
@@ -671,6 +719,7 @@ impl MemorySystem {
             );
             return cycles;
         }
+        let lanes = !self.more.is_empty();
         let shift = self.line_shift;
         let first = addr.as_u64() >> shift;
         let last = addr.offset(size.saturating_sub(1)).as_u64() >> shift;
@@ -697,14 +746,14 @@ impl MemorySystem {
                     .below0
                     .serve(victim, true, dram_nj, &mut self.energy_nj);
             }
-            if LANES && (fill.is_some() || victim.is_some()) {
+            if lanes && (fill.is_some() || victim.is_some()) {
                 self.more
                     .line_below(li - first, data_nj, fill, victim, dram_nj);
             }
         }
         self.cycles += cycles;
         self.energy_nj += leakage * cycles as f64;
-        if LANES {
+        if lanes {
             self.more
                 .finish(last - first + 1, data_nj, l1_hit_cycles, cycles, leakage);
         }
