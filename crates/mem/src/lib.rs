@@ -31,10 +31,23 @@
 //! accepts (e.g. 24 KiB 4-way = 192 sets) falls back to `%` and `/`. The
 //! per-access energy of the data array depends only on the live heap size,
 //! so [`MemorySystem`] recomputes it in `alloc` and `free`, the only calls
-//! that change it, rather than on every access. None of this moves a
-//! statistic: the engine's golden corpus pins every `CostReport` bit for
-//! bit, and a property test checks the cache against a one-vector-per-set
-//! reference model.
+//! that change it, rather than on every access.
+//!
+//! The common access is served in line, at each call site of `read` and
+//! `write`: one line, outside the scratchpad, an L1 hit on an L1 whose
+//! set count is a power of two. It ticks the L1 clock, refreshes the way
+//! (LRU only), counts the hit, the access and its bytes, and adds the hit
+//! cycles, the data-array energy and a precomputed leakage of the hit
+//! cycles to the ledger — what the general path does for such an access,
+//! in the same order. Its lookup changes nothing when it misses.
+//! Everything else takes one out-of-line general path that charges a
+//! transaction line by line: transactions that span lines, L1 misses
+//! and their service by the L2 and DRAM, scratchpad accesses and L1s of
+//! other set counts. The L1 hit logic exists once, in the lookup both
+//! paths use. None of this moves a statistic: the engine's golden corpus
+//! pins every `CostReport` bit for bit, and property tests check the
+//! cache against a one-vector-per-set reference model and a one-lane
+//! system's whole ledger against a reference system built from it.
 //!
 //! One system can carry several *lanes*, one per platform, when the
 //! platforms differ only in the L2 ([`MemoryConfig::lane_base`],
@@ -42,10 +55,9 @@
 //! once; only its misses and dirty writebacks reach each lane's L2 and
 //! DRAM. Every lane charges its own cycles and energy in the order a
 //! one-lane system would, so each lane's report is bit-identical to that
-//! system's (a property test checks this after every operation). A
-//! one-lane system takes the same path without the lane work: a
-//! transaction is one generic function, instantiated with and without
-//! lanes, and `read` and `write` pick the instantiation.
+//! system's (a property test checks this after every operation). Both
+//! paths serve every lane count: the in-line hit charges the other lanes
+//! with one out-of-line call, and a one-lane system skips it.
 //!
 //! # Example
 //!

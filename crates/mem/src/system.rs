@@ -509,6 +509,7 @@ impl MemorySystem {
     /// path.
     #[inline(always)]
     fn access(&mut self, addr: VirtAddr, size: u64, write: bool) -> u64 {
+        debug_assert!(size > 0, "zero-size transaction");
         let shift = self.line_shift;
         let line = addr.as_u64() >> shift;
         let one_line = addr.offset(size.saturating_sub(1)).as_u64() >> shift == line;
@@ -706,7 +707,6 @@ impl MemorySystem {
     /// the DDT code. Returns lane 0's cycles.
     #[inline(never)]
     fn transact(&mut self, addr: VirtAddr, size: u64, write: bool) -> u64 {
-        debug_assert!(size > 0, "zero-size transaction");
         self.count(size, write);
         if self.is_spm_addr(addr) {
             // Scratchpad access: fixed latency, small fixed energy, no
