@@ -836,7 +836,48 @@ mod tests {
     }
 
     #[test]
-    fn stall_reaches_the_ga_and_no_other_mode() {
+    fn each_mode_takes_its_preset_fields_and_rejects_the_rest() {
+        // Every mode × field pair: a field the mode takes reaches its
+        // config, any other is refused by name.
+        let takes: [(&str, &[&str]); 5] = [
+            ("explore", &[]),
+            ("headline", &[]),
+            ("ga", &["seed", "stall"]),
+            ("scenarios", &["base", "scenarios", "packets"]),
+            ("sweep", &["base", "scenarios", "packets"]),
+        ];
+        for (mode, fields) in takes {
+            let bare = JobSpec {
+                quick: true,
+                ..JobSpec::preset(mode, Some("drr"))
+            };
+            let plain = serde_json::to_string(&bare.resolve().expect("resolves")).expect("ser");
+            for field in ["base", "scenarios", "packets", "seed", "stall"] {
+                let mut spec = bare.clone();
+                match field {
+                    "base" => spec.base = Some("NLANR-AIX".into()),
+                    "scenarios" => spec.scenarios = Some(vec!["ddos-syn".into()]),
+                    "packets" => spec.packets = Some(40),
+                    "seed" => spec.seed = Some(12_345),
+                    _ => spec.stall = Some(2),
+                }
+                match spec.resolve() {
+                    Ok(request) if fields.contains(&field) => assert_ne!(
+                        serde_json::to_string(&request).expect("ser"),
+                        plain,
+                        "`{field}` reaches the {mode} config"
+                    ),
+                    Err(err) if !fields.contains(&field) => assert_eq!(
+                        err,
+                        ResolveError::FlagNotApplicable {
+                            flag: field.into(),
+                            mode: mode.into()
+                        }
+                    ),
+                    other => panic!("{mode} × {field}: {other:?}"),
+                }
+            }
+        }
         let spec = JobSpec {
             quick: true,
             stall: Some(2),
@@ -847,21 +888,6 @@ mod tests {
             panic!("wrong mode {}", request.mode());
         };
         assert_eq!(cfg.stall_generations, Some(2));
-        for mode in ["explore", "headline", "scenarios", "sweep"] {
-            let err = JobSpec {
-                stall: Some(2),
-                ..JobSpec::preset(mode, Some("drr"))
-            }
-            .resolve()
-            .unwrap_err();
-            assert_eq!(
-                err,
-                ResolveError::FlagNotApplicable {
-                    flag: "stall".into(),
-                    mode: mode.into()
-                }
-            );
-        }
         // A `Run` line from before `stall` existed still decodes.
         let line = r#"{"id":"g","body":{"Run":{"mode":"ga","app":"drr","quick":true,"seed":7}}}"#;
         let back: Request = serde_json::from_str(line).expect("decodes without `stall`");
