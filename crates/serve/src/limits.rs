@@ -11,7 +11,6 @@
 
 use std::io::{self, BufRead, Read};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 /// A bounded pool of connection slots: the thing that turns the old
@@ -63,11 +62,6 @@ impl Drop for ConnSlot<'_> {
 #[derive(Debug)]
 pub(crate) struct RateLimiter {
     limit: Option<u32>,
-    window: Mutex<RateWindow>,
-}
-
-#[derive(Debug)]
-struct RateWindow {
     started: Instant,
     used: u32,
 }
@@ -78,27 +72,24 @@ impl RateLimiter {
     pub(crate) fn new(limit: Option<u32>) -> Self {
         RateLimiter {
             limit,
-            window: Mutex::new(RateWindow {
-                started: Instant::now(),
-                used: 0,
-            }),
+            started: Instant::now(),
+            used: 0,
         }
     }
 
     /// Spends one request from the budget; `false` means over budget
     /// (the caller answers `RateLimited` and keeps the connection open).
-    pub(crate) fn admit(&self) -> bool {
+    pub(crate) fn admit(&mut self) -> bool {
         let Some(limit) = self.limit else {
             return true;
         };
-        let mut window = self.window.lock().unwrap_or_else(PoisonError::into_inner);
         let now = Instant::now();
-        if now.duration_since(window.started).as_millis() >= 1000 {
-            window.started = now;
-            window.used = 0;
+        if now.duration_since(self.started).as_millis() >= 1000 {
+            self.started = now;
+            self.used = 0;
         }
-        if window.used < limit {
-            window.used += 1;
+        if self.used < limit {
+            self.used += 1;
             true
         } else {
             false
@@ -192,20 +183,17 @@ mod tests {
 
     #[test]
     fn rate_limiter_enforces_and_refills() {
-        let unlimited = RateLimiter::new(None);
+        let mut unlimited = RateLimiter::new(None);
         for _ in 0..1000 {
             assert!(unlimited.admit());
         }
-        let limited = RateLimiter::new(Some(3));
+        let mut limited = RateLimiter::new(Some(3));
         assert!(limited.admit());
         assert!(limited.admit());
         assert!(limited.admit());
         assert!(!limited.admit(), "budget spent");
         // Force the window back to simulate a second passing.
-        {
-            let mut w = limited.window.lock().unwrap();
-            w.started = Instant::now() - std::time::Duration::from_millis(1100);
-        }
+        limited.started = Instant::now() - std::time::Duration::from_millis(1100);
         assert!(limited.admit(), "budget refilled");
     }
 

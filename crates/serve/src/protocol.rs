@@ -29,6 +29,7 @@ use ddtr_ddt::DdtKind;
 use ddtr_obs::MetricsSnapshot;
 use ddtr_trace::{NetworkPreset, Scenario};
 use serde::{Deserialize, Serialize};
+use std::str::FromStr;
 
 /// Version of the wire protocol; servers announce it in [`Event::Hello`]
 /// and reject a [`RequestBody::Hello`] naming any other version with
@@ -327,9 +328,13 @@ impl JobSpec {
     ///
     /// # Errors
     ///
-    /// Returns a [`ResolveError`] describing the first problem: unknown
-    /// mode, app or scenario names, a flag that does not apply to the
-    /// mode, or an invalid resolved configuration.
+    /// Returns a [`ResolveError`] describing the first problem, checked in
+    /// this order: `inline` mixed with preset fields; a missing or unknown
+    /// mode; a field the mode does not take (of `base`, `scenarios`,
+    /// `packets`, `seed`, `stall`, in that order); an unknown or missing
+    /// app; an unknown base network, scenario or platform name, or a
+    /// wrong number of platforms; and last an invalid resolved
+    /// configuration.
     pub fn resolve(&self) -> Result<ExploreRequest, ResolveError> {
         let request = self.build()?;
         request
@@ -346,159 +351,121 @@ impl JobSpec {
             return Ok(inline.clone());
         }
         let mode = self.mode.as_deref().ok_or(ResolveError::MissingMode)?;
-        let unknown = |e: &dyn std::fmt::Display| ResolveError::UnknownName(e.to_string());
-        let optional_app = || -> Result<Option<AppKind>, ResolveError> {
-            match &self.app {
-                Some(name) => name.parse().map(Some).map_err(|e| unknown(&e)),
-                None => Ok(None),
-            }
-        };
-        let required_app = || -> Result<AppKind, ResolveError> {
-            optional_app()?.ok_or_else(|| ResolveError::MissingApp {
+        let takes = MODE_FIELDS
+            .iter()
+            .find_map(|&(known, takes)| (known == mode).then_some(takes))
+            .ok_or_else(|| ResolveError::UnknownMode(mode.to_string()))?;
+        let set = [
+            ("base", self.base.is_some()),
+            ("scenarios", self.scenarios.is_some()),
+            ("packets", self.packets.is_some()),
+            ("seed", self.seed.is_some()),
+            ("stall", self.stall.is_some()),
+        ];
+        if let Some((flag, _)) = set.iter().find(|(flag, set)| *set && !takes.contains(flag)) {
+            return Err(ResolveError::FlagNotApplicable {
+                flag: flag.to_string(),
                 mode: mode.to_string(),
-            })
+            });
+        }
+        let app = self.app.as_deref().map(name::<AppKind>).transpose()?;
+        let candidates = self.extended.then(|| DdtKind::EXTENDED.to_vec());
+        // The platform of a single-platform mode, when `mem` names one.
+        let single_mem = || match self.mem.as_deref() {
+            None => Ok(None),
+            Some([one]) => name::<MemoryPreset>(one).map(|preset| Some(preset.config())),
+            Some(_) => Err(ResolveError::MemArity {
+                mode: mode.to_string(),
+            }),
         };
-        let reject = |field: &str, set: bool| -> Result<(), ResolveError> {
-            if set {
-                Err(ResolveError::FlagNotApplicable {
-                    flag: field.to_string(),
-                    mode: mode.to_string(),
-                })
-            } else {
-                Ok(())
-            }
-        };
-        // The single platform of a non-sweep mode, when `mem` is given.
-        let single_mem = || -> Result<Option<MemoryPreset>, ResolveError> {
-            match &self.mem {
-                None => Ok(None),
-                Some(names) => match names.as_slice() {
-                    [name] => name.parse().map(Some).map_err(|e| unknown(&e)),
-                    _ => Err(ResolveError::MemArity {
-                        mode: mode.to_string(),
-                    }),
-                },
-            }
-        };
-        match mode {
-            "explore" | "headline" => {
-                let app = required_app()?;
-                reject("base", self.base.is_some())?;
-                reject("scenarios", self.scenarios.is_some())?;
-                reject("packets", self.packets.is_some())?;
-                reject("seed", self.seed.is_some())?;
-                reject("stall", self.stall.is_some())?;
-                let mut cfg = if self.quick {
-                    MethodologyConfig::quick(app)
-                } else {
-                    MethodologyConfig::paper(app)
-                };
-                if self.extended {
-                    cfg.candidates = DdtKind::EXTENDED.to_vec();
-                }
-                if let Some(preset) = single_mem()? {
-                    cfg.mem = preset.config();
-                }
-                Ok(if mode == "explore" {
-                    ExploreRequest::Explore(cfg)
-                } else {
-                    ExploreRequest::Headline(cfg)
-                })
-            }
-            "ga" => {
-                let app = required_app()?;
-                reject("base", self.base.is_some())?;
-                reject("scenarios", self.scenarios.is_some())?;
-                reject("packets", self.packets.is_some())?;
-                let mut cfg = if self.quick {
-                    GaConfig::quick(app)
-                } else {
-                    GaConfig::paper(app)
-                };
-                if self.extended {
-                    cfg.candidates = DdtKind::EXTENDED.to_vec();
-                }
-                if let Some(seed) = self.seed {
-                    cfg.seed = seed;
-                }
-                if let Some(window) = self.stall {
-                    cfg.stall_generations = Some(window);
-                }
-                if let Some(preset) = single_mem()? {
-                    cfg.mem = preset.config();
-                }
-                Ok(ExploreRequest::Ga(cfg))
-            }
-            "scenarios" => {
-                reject("seed", self.seed.is_some())?;
-                reject("stall", self.stall.is_some())?;
-                let base: NetworkPreset = match &self.base {
-                    Some(name) => name.parse().map_err(|e| unknown(&e))?,
-                    None => NetworkPreset::DartmouthBerry,
-                };
+        if matches!(mode, "scenarios" | "sweep") {
+            let base = self
+                .base
+                .as_deref()
+                .map_or(Ok(NetworkPreset::DartmouthBerry), name)?;
+            let apps = app.map(|app| vec![app]);
+            let scenarios = self.scenarios.as_deref().map(names).transpose()?;
+            if mode == "scenarios" {
                 let mut cfg = if self.quick {
                     ScenarioConfig::quick(base)
                 } else {
                     ScenarioConfig::paper(base)
                 };
-                if self.extended {
-                    cfg.candidates = DdtKind::EXTENDED.to_vec();
-                }
-                if let Some(app) = optional_app()? {
-                    cfg.apps = vec![app];
-                }
-                if let Some(names) = &self.scenarios {
-                    cfg.scenarios = names
-                        .iter()
-                        .map(|n| n.parse::<Scenario>().map_err(|e| unknown(&e)))
-                        .collect::<Result<_, _>>()?;
-                }
-                if let Some(packets) = self.packets {
-                    cfg.packets_per_sim = packets;
-                }
-                if let Some(preset) = single_mem()? {
-                    cfg.mem = preset.config();
-                }
-                Ok(ExploreRequest::Scenarios(cfg))
+                cfg.candidates = candidates.unwrap_or(cfg.candidates);
+                cfg.apps = apps.unwrap_or(cfg.apps);
+                cfg.scenarios = scenarios.unwrap_or(cfg.scenarios);
+                cfg.packets_per_sim = self.packets.unwrap_or(cfg.packets_per_sim);
+                cfg.mem = single_mem()?.unwrap_or(cfg.mem);
+                return Ok(ExploreRequest::Scenarios(cfg));
             }
-            "sweep" => {
-                reject("seed", self.seed.is_some())?;
-                reject("stall", self.stall.is_some())?;
-                let base: NetworkPreset = match &self.base {
-                    Some(name) => name.parse().map_err(|e| unknown(&e))?,
-                    None => NetworkPreset::DartmouthBerry,
-                };
-                let mut cfg = if self.quick {
-                    SweepConfig::quick(base)
-                } else {
-                    SweepConfig::paper(base)
-                };
-                if self.extended {
-                    cfg.candidates = DdtKind::EXTENDED.to_vec();
-                }
-                if let Some(app) = optional_app()? {
-                    cfg.apps = vec![app];
-                }
-                if let Some(names) = &self.scenarios {
-                    cfg.scenarios = names
-                        .iter()
-                        .map(|n| n.parse::<Scenario>().map_err(|e| unknown(&e)))
-                        .collect::<Result<_, _>>()?;
-                }
-                if let Some(packets) = self.packets {
-                    cfg.packets_per_sim = packets;
-                }
-                if let Some(names) = &self.mem {
-                    cfg.mem_presets = names
-                        .iter()
-                        .map(|n| n.parse::<MemoryPreset>().map_err(|e| unknown(&e)))
-                        .collect::<Result<_, _>>()?;
-                }
-                Ok(ExploreRequest::Sweep(cfg))
-            }
-            other => Err(ResolveError::UnknownMode(other.to_string())),
+            let mut cfg = if self.quick {
+                SweepConfig::quick(base)
+            } else {
+                SweepConfig::paper(base)
+            };
+            cfg.candidates = candidates.unwrap_or(cfg.candidates);
+            cfg.apps = apps.unwrap_or(cfg.apps);
+            cfg.scenarios = scenarios.unwrap_or(cfg.scenarios);
+            cfg.packets_per_sim = self.packets.unwrap_or(cfg.packets_per_sim);
+            cfg.mem_presets = self
+                .mem
+                .as_deref()
+                .map(names)
+                .transpose()?
+                .unwrap_or(cfg.mem_presets);
+            return Ok(ExploreRequest::Sweep(cfg));
         }
+        let app = app.ok_or_else(|| ResolveError::MissingApp {
+            mode: mode.to_string(),
+        })?;
+        let mem = single_mem()?;
+        if mode == "ga" {
+            let mut cfg = if self.quick {
+                GaConfig::quick(app)
+            } else {
+                GaConfig::paper(app)
+            };
+            cfg.candidates = candidates.unwrap_or(cfg.candidates);
+            cfg.seed = self.seed.unwrap_or(cfg.seed);
+            cfg.stall_generations = self.stall.or(cfg.stall_generations);
+            cfg.mem = mem.unwrap_or(cfg.mem);
+            return Ok(ExploreRequest::Ga(cfg));
+        }
+        let mut cfg = if self.quick {
+            MethodologyConfig::quick(app)
+        } else {
+            MethodologyConfig::paper(app)
+        };
+        cfg.candidates = candidates.unwrap_or(cfg.candidates);
+        cfg.mem = mem.unwrap_or(cfg.mem);
+        Ok(if mode == "explore" {
+            ExploreRequest::Explore(cfg)
+        } else {
+            ExploreRequest::Headline(cfg)
+        })
     }
+}
+
+/// The preset fields each mode takes besides `app`, `quick`, `extended`
+/// and `mem`; a mode refuses the others by name.
+const MODE_FIELDS: [(&str, &[&str]); 5] = [
+    ("explore", &[]),
+    ("headline", &[]),
+    ("ga", &["seed", "stall"]),
+    ("scenarios", &["base", "scenarios", "packets"]),
+    ("sweep", &["base", "scenarios", "packets"]),
+];
+
+/// Parses one catalog name (app, network, scenario or platform); the
+/// error lists the catalog.
+fn name<T: FromStr<Err: std::fmt::Display>>(text: &str) -> Result<T, ResolveError> {
+    text.parse()
+        .map_err(|e: T::Err| ResolveError::UnknownName(e.to_string()))
+}
+
+/// Parses a list of catalog names.
+fn names<T: FromStr<Err: std::fmt::Display>>(list: &[String]) -> Result<Vec<T>, ResolveError> {
+    list.iter().map(|text| name(text)).collect()
 }
 
 /// One server → client line.

@@ -26,19 +26,23 @@ use crate::limits::{read_request_line, ConnGate, RateLimiter, RequestLine};
 use crate::protocol::{
     ErrorCode, Event, Request, RequestBody, PROTOCOL_VERSION, SERVER_CAPABILITIES,
 };
-use ddtr_core::{dispatch_observed, CacheStats, ExploreError};
+use ddtr_core::{dispatch_observed, CacheStats, ExploreError, ExploreRequest};
 use ddtr_engine::{BatchControl, EngineConfig, EngineError, EngineSession};
 use ddtr_obs::names::{self, Name};
 use ddtr_obs::Gauge;
 use std::any::Any;
 use std::collections::HashMap;
 use std::fmt;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
+#[cfg(unix)]
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::thread::Scope;
+use std::time::Instant;
 
 /// A server-side failure (socket setup, worker/cache construction,
 /// daemon plumbing) — everything that can go wrong before or around the
@@ -218,8 +222,62 @@ fn panic_message(payload: &(dyn Any + Send)) -> &str {
 
 /// Records one end-to-end request latency sample: receipt of the request
 /// line to emission of its terminal event.
-fn record_latency(arrived: std::time::Instant) {
+fn record_latency(arrived: Instant) {
     ddtr_obs::histogram(names::SERVE_REQUEST_LATENCY).record_duration(arrived.elapsed());
+}
+
+/// The capability list `Hello` and `Welcome` advertise.
+fn capabilities() -> Vec<String> {
+    SERVER_CAPABILITIES.iter().map(|s| s.to_string()).collect()
+}
+
+/// Why the edge turned a request line away: the code and text of its
+/// `Error` event, and the request id it echoes (none for a line that did
+/// not parse).
+struct Rejection {
+    id: Option<String>,
+    code: ErrorCode,
+    error: String,
+}
+
+impl Rejection {
+    fn new(id: Option<String>, code: ErrorCode, error: impl Into<String>) -> Self {
+        Rejection {
+            id,
+            code,
+            error: error.into(),
+        }
+    }
+
+    /// A line that is not a request, counted as malformed.
+    fn malformed(detail: impl fmt::Display) -> Self {
+        ddtr_obs::counter(names::SERVE_REQUEST_MALFORMED).inc();
+        Rejection::new(
+            None,
+            ErrorCode::Parse,
+            format!("unparseable request: {detail}"),
+        )
+    }
+}
+
+/// What a connection does with a request its admission rules let in.
+enum Admitted {
+    /// Emit this terminal event now.
+    Reply(Event),
+    /// Route this resolved `Run` and start it; its worker answers it.
+    Run(String, Box<ExploreRequest>),
+    /// Emit nothing: a `Cancel` of a live target, which answers with
+    /// `Cancelled` on its own id.
+    Quiet,
+    /// Stop reading: the request was `Shutdown`.
+    Stop,
+}
+
+/// What the `Run` workers of one connection share: its event writer and
+/// its in-flight requests by id, whose count the in-flight budget caps.
+struct Conn<W: Write> {
+    writer: Arc<ConnWriter<W>>,
+    inflight: Mutex<HashMap<String, BatchControl>>,
 }
 
 /// The long-running exploration server: a fleet of worker sessions
@@ -303,7 +361,7 @@ impl Server {
     /// The worker a resolved request routes to (see
     /// [`crate::route_worker`]).
     #[must_use]
-    pub fn route(&self, request: &ddtr_core::ExploreRequest) -> usize {
+    pub fn route(&self, request: &ExploreRequest) -> usize {
         route_worker(request, self.worker_count())
     }
 
@@ -342,383 +400,374 @@ impl Server {
     /// JSON [`Request`] per line (bounded by the configured size
     /// ceiling), runs `Run` requests concurrently on their routed worker
     /// sessions, and streams [`Event`] lines (interleaved across
-    /// requests, each tagged with its request id). Malformed lines get an
-    /// `Error` event with a null id and do not end the connection; limit
-    /// violations get coded `Error` events per `docs/PROTOCOL.md`. All
-    /// in-flight work finishes (or is cancelled) before the final `Bye`.
+    /// requests, each tagged with its request id). Every line takes one
+    /// admission path — parse, count, rate, auth, the body's own rules —
+    /// and a line it turns away gets one coded `Error` event per
+    /// `docs/PROTOCOL.md` (with a null id when the line did not parse);
+    /// only a wrong auth token ends the connection. All in-flight work
+    /// finishes (or is cancelled) before the final `Bye`.
     pub fn serve_connection<R, W>(&self, mut reader: R, writer: W)
     where
         R: BufRead,
         W: Write + Send + 'static,
     {
-        let writer = Arc::new(ConnWriter::new(writer));
+        let conn = Conn {
+            writer: Arc::new(ConnWriter::new(writer)),
+            inflight: Mutex::new(HashMap::new()),
+        };
         ddtr_obs::gauge(names::SERVE_CONN_ACTIVE).inc();
-        writer.emit(&Event::Hello {
+        conn.writer.emit(&Event::Hello {
             protocol: PROTOCOL_VERSION,
             server: format!("ddtr_serve {}", env!("CARGO_PKG_VERSION")),
             jobs: self.session.jobs(),
-            capabilities: SERVER_CAPABILITIES.iter().map(|s| s.to_string()).collect(),
+            capabilities: capabilities(),
             workers: self.worker_count(),
         });
-        // Connection state behind the hardened edge: authenticated yet
-        // (immediately, on an open server), this connection's request
-        // budget, and its count of in-flight `Run`s.
+        // Authenticated yet (immediately, on an open server), and this
+        // connection's request budget.
         let mut authed = self.cfg.auth_token.is_none();
-        let rate = RateLimiter::new(self.cfg.rate_limit);
-        let running = Arc::new(AtomicUsize::new(0));
-        let inflight: Mutex<HashMap<String, BatchControl>> = Mutex::new(HashMap::new());
-        std::thread::scope(|scope| {
-            loop {
-                let line = match read_request_line(&mut reader, self.cfg.max_request_bytes) {
-                    Ok(RequestLine::Eof) | Err(_) => break,
-                    Ok(RequestLine::TooLarge) => {
-                        writer.emit_error(
-                            None,
-                            ErrorCode::TooLarge,
-                            format!(
-                                "request line exceeds the {}-byte ceiling and was discarded",
-                                self.cfg.max_request_bytes
-                            ),
-                        );
-                        continue;
-                    }
-                    Ok(RequestLine::NotUtf8) => {
-                        ddtr_obs::counter(names::SERVE_REQUEST_MALFORMED).inc();
-                        writer.emit_error(
-                            None,
-                            ErrorCode::Parse,
-                            "unparseable request: not valid UTF-8".into(),
-                        );
-                        continue;
-                    }
-                    Ok(RequestLine::Line(line)) => line,
-                };
-                if line.trim().is_empty() {
-                    continue;
+        let mut rate = RateLimiter::new(self.cfg.rate_limit);
+        std::thread::scope(|scope| loop {
+            let read = read_request_line(&mut reader, self.cfg.max_request_bytes);
+            // A line's end-to-end latency runs from here to its terminal
+            // event (docs/OBSERVABILITY.md).
+            let arrived = Instant::now();
+            let parsed = match read {
+                Ok(RequestLine::Eof) | Err(_) => break,
+                Ok(RequestLine::Line(text)) if text.trim().is_empty() => continue,
+                Ok(RequestLine::Line(text)) => {
+                    serde_json::from_str::<Request>(&text).map_err(Rejection::malformed)
                 }
-                let request: Request = match serde_json::from_str(&line) {
-                    Ok(request) => request,
-                    Err(e) => {
-                        ddtr_obs::counter(names::SERVE_REQUEST_MALFORMED).inc();
-                        writer.emit_error(
-                            None,
-                            ErrorCode::Parse,
-                            format!("unparseable request: {e}"),
-                        );
-                        continue;
-                    }
-                };
-                // Per-request accounting (docs/OBSERVABILITY.md): one
-                // variant counter per request, an end-to-end latency
-                // sample per terminal event.
-                let arrived = std::time::Instant::now();
+                Ok(RequestLine::TooLarge) => Err(Rejection::new(
+                    None,
+                    ErrorCode::TooLarge,
+                    format!(
+                        "request line exceeds the {}-byte ceiling and was discarded",
+                        self.cfg.max_request_bytes
+                    ),
+                )),
+                Ok(RequestLine::NotUtf8) => Err(Rejection::malformed("not valid UTF-8")),
+            };
+            if let Ok(request) = &parsed {
                 ddtr_obs::counter(request_counter(&request.body)).inc();
-                // The rate budget covers every request kind — the cheap
-                // ones are exactly what a misbehaving client floods.
-                if !rate.admit() {
-                    writer.emit_error(
-                        Some(request.id),
-                        ErrorCode::RateLimited,
-                        "request rate limit exceeded; back off and retry".into(),
-                    );
-                    record_latency(arrived);
-                    continue;
-                }
-                // The auth gate: until the connection authenticates,
-                // `Hello` is the only request that reaches any further —
-                // nothing below costs engine work before this point.
-                if !authed && !matches!(request.body, RequestBody::Hello { .. }) {
-                    writer.emit_error(
-                        Some(request.id),
-                        ErrorCode::AuthRequired,
-                        "authentication required: send Hello with the auth token first".into(),
-                    );
-                    record_latency(arrived);
-                    continue;
-                }
-                match request.body {
-                    RequestBody::Hello {
-                        proto_version,
-                        auth,
-                        capabilities: _,
-                    } => {
-                        if proto_version != PROTOCOL_VERSION {
-                            writer.emit_error(
-                                Some(request.id),
-                                ErrorCode::UnsupportedProtocol,
-                                format!(
-                                    "unsupported protocol version {proto_version} \
-                                     (this server speaks {PROTOCOL_VERSION})"
-                                ),
-                            );
-                            record_latency(arrived);
-                            continue;
-                        }
-                        if let Some(expected) = &self.cfg.auth_token {
-                            match auth.as_deref() {
-                                Some(token) if token == expected.as_str() => {}
-                                Some(_) => {
-                                    // A wrong secret ends the
-                                    // conversation; guessing is not
-                                    // free retries on a live socket.
-                                    writer.emit_error(
-                                        Some(request.id),
-                                        ErrorCode::AuthFailed,
-                                        "auth token rejected".into(),
-                                    );
-                                    record_latency(arrived);
-                                    break;
-                                }
-                                None => {
-                                    writer.emit_error(
-                                        Some(request.id),
-                                        ErrorCode::AuthRequired,
-                                        "this server requires an auth token".into(),
-                                    );
-                                    record_latency(arrived);
-                                    continue;
-                                }
-                            }
-                        }
-                        authed = true;
-                        writer.emit(&Event::Welcome {
-                            id: request.id,
-                            protocol: PROTOCOL_VERSION,
-                            capabilities: SERVER_CAPABILITIES
-                                .iter()
-                                .map(|s| s.to_string())
-                                .collect(),
-                        });
-                        record_latency(arrived);
-                    }
-                    RequestBody::Ping => {
-                        writer.emit(&Event::Pong { id: request.id });
-                        record_latency(arrived);
-                    }
-                    RequestBody::Stats => {
-                        writer.emit(&Event::Stats {
-                            id: request.id,
-                            stats: self.fleet_stats(),
-                            jobs: self.session.jobs(),
-                            metrics: Box::new(ddtr_obs::snapshot()),
-                        });
-                        record_latency(arrived);
-                    }
-                    RequestBody::Metrics => {
-                        writer.emit(&Event::Metrics {
-                            id: request.id,
-                            text: ddtr_obs::render_prometheus(&ddtr_obs::snapshot()),
-                        });
-                        record_latency(arrived);
-                    }
-                    RequestBody::Cancel { target } => {
-                        let control = inflight
-                            .lock()
-                            .unwrap_or_else(PoisonError::into_inner)
-                            .get(&target)
-                            .cloned();
-                        match control {
-                            // The cancelled request replies `Cancelled`
-                            // on its own id.
-                            Some(control) => control.cancel(),
-                            None => {
-                                writer.emit_error(
-                                    Some(request.id),
-                                    ErrorCode::UnknownTarget,
-                                    format!(
-                                        "no in-flight request `{target}` (unknown or finished)"
-                                    ),
-                                );
-                                record_latency(arrived);
-                            }
-                        }
-                    }
-                    RequestBody::Shutdown => {
-                        self.shutdown.store(true, Ordering::SeqCst);
-                        break;
-                    }
-                    RequestBody::Run(spec) => {
-                        let id = request.id;
-                        // A duplicate id would make the earlier request
-                        // uncancellable and the event streams
-                        // indistinguishable — reject it.
-                        if inflight
-                            .lock()
-                            .unwrap_or_else(PoisonError::into_inner)
-                            .contains_key(&id)
-                        {
-                            writer.emit_error(
-                                Some(id),
-                                ErrorCode::DuplicateId,
-                                "a request with this id is already in flight".into(),
-                            );
-                            record_latency(arrived);
-                            continue;
-                        }
-                        // The per-connection executor budget: reject
-                        // rather than queue, so one connection cannot
-                        // hoard every scoped thread.
-                        if running.load(Ordering::SeqCst) >= self.cfg.max_inflight {
-                            writer.emit_error(
-                                Some(id),
-                                ErrorCode::Overloaded,
-                                format!(
-                                    "connection already has {} runs in flight (the limit); \
-                                     wait for one to finish",
-                                    self.cfg.max_inflight
-                                ),
-                            );
-                            record_latency(arrived);
-                            continue;
-                        }
-                        let explore = match spec.resolve() {
-                            Ok(explore) => explore,
-                            Err(error) => {
-                                writer.emit_error(Some(id), error.code(), error.to_string());
-                                record_latency(arrived);
-                                continue;
-                            }
-                        };
-                        // Deterministic fleet placement: the resolved
-                        // request's content fingerprint picks the worker,
-                        // so identical work always meets the same warm
-                        // in-memory cache.
-                        let worker_idx = self.route(&explore);
-                        let session = self.worker(worker_idx);
-                        let worker_gauge = self.worker_gauges.get(worker_idx);
-                        writer.emit(&Event::Queued { id: id.clone() });
-                        // Progress observer: emits monotone `Running`
-                        // lines, throttled to ~1% steps (plus every
-                        // phase completion) so huge runs don't flood the
-                        // wire; workers race between counting and
-                        // reporting, so non-increasing snapshots are
-                        // dropped. When the peer stops accepting events
-                        // the observer cancels its own request — nobody
-                        // is left to read the answer.
-                        let progress_writer = Arc::clone(&writer);
-                        let progress_id = id.clone();
-                        let last_done = AtomicUsize::new(0);
-                        let own_token: Arc<std::sync::OnceLock<ddtr_engine::CancelToken>> =
-                            Arc::new(std::sync::OnceLock::new());
-                        let observer_token = Arc::clone(&own_token);
-                        let control = BatchControl::observed(move |p| {
-                            let stride = (p.total / 100).max(1);
-                            let prev = last_done.load(Ordering::SeqCst);
-                            if p.done > 0
-                                && (p.done == p.total || p.done >= prev + stride)
-                                && last_done.fetch_max(p.done, Ordering::SeqCst) < p.done
-                            {
-                                progress_writer.emit(&Event::Running {
-                                    id: progress_id.clone(),
-                                    done: p.done,
-                                    total: p.total,
-                                });
-                            }
-                            if progress_writer.peer_gone() {
-                                if let Some(token) = observer_token.get() {
-                                    token.cancel();
-                                }
-                            }
-                        });
-                        let _ = own_token.set(control.token());
-                        inflight
-                            .lock()
-                            .unwrap_or_else(PoisonError::into_inner)
-                            .insert(id.clone(), control.clone());
-                        let result_writer = Arc::clone(&writer);
-                        let inflight = &inflight;
-                        let running = Arc::clone(&running);
-                        running.fetch_add(1, Ordering::SeqCst);
-                        let queued_at = std::time::Instant::now();
-                        ddtr_obs::gauge(names::SERVE_INFLIGHT).inc();
-                        if let Some(gauge) = worker_gauge {
-                            gauge.inc();
-                        }
-                        scope.spawn(move || {
-                            ddtr_obs::histogram(names::SERVE_REQUEST_QUEUE_WAIT)
-                                .record_duration(queued_at.elapsed());
-                            let mut engine = session.engine_with(control);
-                            // Sweep requests additionally stream one
-                            // `Cell` line per completed platform cell;
-                            // every other mode never invokes the observer.
-                            let cell_writer = Arc::clone(&result_writer);
-                            let cell_id = id.clone();
-                            // A panic costs this request only: it ends as
-                            // an `Internal` error and releases everything
-                            // below like any other error.
-                            let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
-                                dispatch_observed(&mut engine, &explore, |cell, done, total| {
-                                    cell_writer.emit(&Event::Cell {
-                                        id: cell_id.clone(),
-                                        done,
-                                        total,
-                                        app: cell.app,
-                                        scenario: cell.scenario,
-                                        mem: cell.mem,
-                                        front: cell.front_labels(),
-                                    });
-                                })
-                            }))
-                            .unwrap_or_else(|payload| {
-                                Err(ExploreError::Engine(format!(
-                                    "exploration panicked: {}",
-                                    panic_message(payload.as_ref())
-                                )))
-                            });
-                            inflight
-                                .lock()
-                                .unwrap_or_else(PoisonError::into_inner)
-                                .remove(&id);
-                            let progress = engine.control().progress();
-                            let event = match outcome {
-                                Ok(result) => Event::Result {
-                                    id,
-                                    executed: progress.executed,
-                                    cache_hits: progress.hits,
-                                    result: Box::new(result),
-                                },
-                                Err(ExploreError::Cancelled) => Event::Cancelled { id },
-                                Err(e) => Event::Error {
-                                    id: Some(id),
-                                    error: e.to_string(),
-                                    code: Some(ErrorCode::Internal),
-                                },
-                            };
-                            result_writer.emit(&event);
-                            running.fetch_sub(1, Ordering::SeqCst);
-                            ddtr_obs::gauge(names::SERVE_INFLIGHT).dec();
-                            if let Some(gauge) = worker_gauge {
-                                gauge.dec();
-                            }
-                            record_latency(arrived);
-                        });
-                    }
-                }
             }
-            // Leaving the scope joins every in-flight request. Plain EOF
-            // does NOT cancel them: in stdio batch mode (`printf … |
-            // ddtr serve`) the answers are still wanted after stdin
-            // closes. Abandoned work is caught by the observers above
-            // the moment a progress write fails.
+            // The rate budget covers every line that gets an answer — the
+            // cheap and the unparseable ones are exactly what a
+            // misbehaving client floods.
+            let admitted = if rate.admit() {
+                parsed.and_then(|request| self.admit(&conn, &mut authed, request))
+            } else {
+                Err(Rejection::new(
+                    parsed.ok().map(|request| request.id),
+                    ErrorCode::RateLimited,
+                    "request rate limit exceeded; back off and retry",
+                ))
+            };
+            let closes = match admitted {
+                Ok(Admitted::Reply(event)) => {
+                    conn.writer.emit(&event);
+                    false
+                }
+                Ok(Admitted::Run(id, explore)) => {
+                    self.start(scope, &conn, id, *explore, arrived);
+                    continue;
+                }
+                Ok(Admitted::Quiet) => continue,
+                Ok(Admitted::Stop) => break,
+                Err(Rejection { id, code, error }) => {
+                    conn.writer.emit_error(id, code, error);
+                    // A wrong secret ends the conversation; guessing is
+                    // not free retries on a live socket.
+                    code == ErrorCode::AuthFailed
+                }
+            };
+            record_latency(arrived);
+            if closes {
+                break;
+            }
         });
-        writer.emit(&Event::Bye);
+        // Leaving the scope joined every in-flight request. Plain EOF does
+        // NOT cancel them: in stdio batch mode (`printf … | ddtr serve`)
+        // the answers are still wanted after stdin closes. Abandoned work
+        // is caught by its progress observer the moment a write fails.
+        conn.writer.emit(&Event::Bye);
         ddtr_obs::gauge(names::SERVE_CONN_ACTIVE).dec();
     }
 
-    /// Greets and immediately turns away a connection the gate has no
-    /// slot for: a coded `Overloaded` error and `Bye`, never silence, so
-    /// the client can tell a full server from a dead one.
-    fn reject_connection<W: Write>(&self, writer: W) {
-        let writer = ConnWriter::new(writer);
-        writer.emit_error(
-            None,
-            ErrorCode::Overloaded,
-            format!(
-                "server is at its {}-connection capacity; retry later",
-                self.cfg.max_connections
+    /// The admission rules after the rate budget: the auth gate, then the
+    /// rules of the request's body, down to resolving a `Run`.
+    fn admit<W: Write>(
+        &self,
+        conn: &Conn<W>,
+        authed: &mut bool,
+        Request { id, body }: Request,
+    ) -> Result<Admitted, Rejection> {
+        let refuse = |code, error: String| Err(Rejection::new(Some(id.clone()), code, error));
+        match body {
+            // The auth gate: until the connection authenticates, `Hello`
+            // is the only request that reaches any further — nothing
+            // below costs engine work before this point.
+            _ if !*authed && !matches!(body, RequestBody::Hello { .. }) => refuse(
+                ErrorCode::AuthRequired,
+                "authentication required: send Hello with the auth token first".into(),
             ),
-        );
-        writer.emit(&Event::Bye);
+            RequestBody::Hello {
+                proto_version,
+                auth,
+                capabilities: _,
+            } => match (&self.cfg.auth_token, auth) {
+                _ if proto_version != PROTOCOL_VERSION => refuse(
+                    ErrorCode::UnsupportedProtocol,
+                    format!(
+                        "unsupported protocol version {proto_version} \
+                         (this server speaks {PROTOCOL_VERSION})"
+                    ),
+                ),
+                (Some(expected), Some(token)) if token != *expected => {
+                    refuse(ErrorCode::AuthFailed, "auth token rejected".into())
+                }
+                (Some(_), None) => refuse(
+                    ErrorCode::AuthRequired,
+                    "this server requires an auth token".into(),
+                ),
+                _ => {
+                    *authed = true;
+                    Ok(Admitted::Reply(Event::Welcome {
+                        id,
+                        protocol: PROTOCOL_VERSION,
+                        capabilities: capabilities(),
+                    }))
+                }
+            },
+            RequestBody::Ping => Ok(Admitted::Reply(Event::Pong { id })),
+            RequestBody::Stats => Ok(Admitted::Reply(Event::Stats {
+                id,
+                stats: self.fleet_stats(),
+                jobs: self.session.jobs(),
+                metrics: Box::new(ddtr_obs::snapshot()),
+            })),
+            RequestBody::Metrics => Ok(Admitted::Reply(Event::Metrics {
+                id,
+                text: ddtr_obs::render_prometheus(&ddtr_obs::snapshot()),
+            })),
+            RequestBody::Cancel { target } => {
+                let control = conn
+                    .inflight
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .get(&target)
+                    .cloned();
+                match control {
+                    // The cancelled request replies `Cancelled` on its own
+                    // id.
+                    Some(control) => {
+                        control.cancel();
+                        Ok(Admitted::Quiet)
+                    }
+                    None => refuse(
+                        ErrorCode::UnknownTarget,
+                        format!("no in-flight request `{target}` (unknown or finished)"),
+                    ),
+                }
+            }
+            RequestBody::Shutdown => {
+                self.shutdown.store(true, Ordering::SeqCst);
+                Ok(Admitted::Stop)
+            }
+            RequestBody::Run(spec) => {
+                let inflight = conn.inflight.lock().unwrap_or_else(PoisonError::into_inner);
+                let (duplicate, running) = (inflight.contains_key(&id), inflight.len());
+                drop(inflight);
+                if duplicate {
+                    // A duplicate id would make the earlier request
+                    // uncancellable and the event streams
+                    // indistinguishable.
+                    refuse(
+                        ErrorCode::DuplicateId,
+                        "a request with this id is already in flight".into(),
+                    )
+                } else if running >= self.cfg.max_inflight {
+                    // The per-connection executor budget: reject rather
+                    // than queue, so one connection cannot hoard every
+                    // scoped thread.
+                    refuse(
+                        ErrorCode::Overloaded,
+                        format!(
+                            "connection already has {} runs in flight (the limit); \
+                             wait for one to finish",
+                            self.cfg.max_inflight
+                        ),
+                    )
+                } else {
+                    match spec.resolve() {
+                        Ok(explore) => Ok(Admitted::Run(id, Box::new(explore))),
+                        Err(error) => refuse(error.code(), error.to_string()),
+                    }
+                }
+            }
+        }
+    }
+
+    /// Routes an admitted `Run` and starts it on its worker, which emits
+    /// its progress and its terminal event.
+    fn start<'scope, 'env: 'scope, W: Write + Send + 'static>(
+        &'env self,
+        scope: &'scope Scope<'scope, 'env>,
+        conn: &'env Conn<W>,
+        id: String,
+        explore: ExploreRequest,
+        arrived: Instant,
+    ) {
+        // Deterministic fleet placement: the resolved request's content
+        // fingerprint picks the worker, so identical work always meets the
+        // same warm in-memory cache.
+        let worker_idx = self.route(&explore);
+        let session = self.worker(worker_idx);
+        let worker_gauge = self.worker_gauges.get(worker_idx);
+        conn.writer.emit(&Event::Queued { id: id.clone() });
+        // Progress observer: emits monotone `Running` lines, throttled to
+        // ~1% steps (plus every phase completion) so huge runs don't flood
+        // the wire; workers race between counting and reporting, so
+        // non-increasing snapshots are dropped. When the peer stops
+        // accepting events the observer cancels its own request — nobody
+        // is left to read the answer.
+        let progress_writer = Arc::clone(&conn.writer);
+        let progress_id = id.clone();
+        let last_done = AtomicUsize::new(0);
+        let own_token: Arc<OnceLock<ddtr_engine::CancelToken>> = Arc::new(OnceLock::new());
+        let observer_token = Arc::clone(&own_token);
+        let control = BatchControl::observed(move |p| {
+            let stride = (p.total / 100).max(1);
+            let prev = last_done.load(Ordering::SeqCst);
+            if p.done > 0
+                && (p.done == p.total || p.done >= prev + stride)
+                && last_done.fetch_max(p.done, Ordering::SeqCst) < p.done
+            {
+                progress_writer.emit(&Event::Running {
+                    id: progress_id.clone(),
+                    done: p.done,
+                    total: p.total,
+                });
+            }
+            if progress_writer.peer_gone() {
+                if let Some(token) = observer_token.get() {
+                    token.cancel();
+                }
+            }
+        });
+        let _ = own_token.set(control.token());
+        conn.inflight
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(id.clone(), control.clone());
+        let queued_at = Instant::now();
+        ddtr_obs::gauge(names::SERVE_INFLIGHT).inc();
+        if let Some(gauge) = worker_gauge {
+            gauge.inc();
+        }
+        scope.spawn(move || {
+            ddtr_obs::histogram(names::SERVE_REQUEST_QUEUE_WAIT)
+                .record_duration(queued_at.elapsed());
+            let mut engine = session.engine_with(control);
+            // A panic costs this request only: it ends as an `Internal`
+            // error and releases everything below like any other error.
+            let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+                // Sweep requests additionally stream one `Cell` line per
+                // completed platform cell; every other mode never invokes
+                // the observer.
+                dispatch_observed(&mut engine, &explore, |cell, done, total| {
+                    conn.writer.emit(&Event::Cell {
+                        id: id.clone(),
+                        done,
+                        total,
+                        app: cell.app,
+                        scenario: cell.scenario,
+                        mem: cell.mem,
+                        front: cell.front_labels(),
+                    });
+                })
+            }))
+            .unwrap_or_else(|payload| {
+                Err(ExploreError::Engine(format!(
+                    "exploration panicked: {}",
+                    panic_message(payload.as_ref())
+                )))
+            });
+            // Out of the in-flight set before its answer goes out, so a
+            // client that waits for the answer finds the budget free.
+            conn.inflight
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .remove(&id);
+            let progress = engine.control().progress();
+            let event = match outcome {
+                Ok(result) => Event::Result {
+                    id,
+                    executed: progress.executed,
+                    cache_hits: progress.hits,
+                    result: Box::new(result),
+                },
+                Err(ExploreError::Cancelled) => Event::Cancelled { id },
+                Err(e) => Event::Error {
+                    id: Some(id),
+                    error: e.to_string(),
+                    code: Some(ErrorCode::Internal),
+                },
+            };
+            conn.writer.emit(&event);
+            ddtr_obs::gauge(names::SERVE_INFLIGHT).dec();
+            if let Some(gauge) = worker_gauge {
+                gauge.dec();
+            }
+            record_latency(arrived);
+        });
+    }
+
+    /// The accept loop of both socket transports (see
+    /// [`Server::serve_tcp`]). `split` clones a read half off an accepted
+    /// stream; `wake` connects to the listener, so that the loop, blocked
+    /// in `accept`, sees a `Shutdown` a connection took.
+    fn accept<S: Read + Write + Send + 'static>(
+        &self,
+        incoming: impl Iterator<Item = io::Result<S>>,
+        split: fn(&S) -> io::Result<S>,
+        wake: impl Fn() + Sync,
+    ) {
+        std::thread::scope(|scope| {
+            for conn in incoming {
+                if self.shutdown_requested() {
+                    break;
+                }
+                let Ok(stream) = conn else { continue };
+                let Some(slot) = self.conns.acquire() else {
+                    // Turned away with a coded error and `Bye`, never
+                    // silence, so the client can tell a full server from
+                    // a dead one.
+                    let writer = ConnWriter::new(stream);
+                    writer.emit_error(
+                        None,
+                        ErrorCode::Overloaded,
+                        format!(
+                            "server is at its {}-connection capacity; retry later",
+                            self.cfg.max_connections
+                        ),
+                    );
+                    writer.emit(&Event::Bye);
+                    continue;
+                };
+                let wake = &wake;
+                scope.spawn(move || {
+                    let _slot = slot;
+                    let Ok(read_half) = split(&stream) else {
+                        return;
+                    };
+                    self.serve_connection(BufReader::new(read_half), stream);
+                    if self.shutdown_requested() {
+                        wake();
+                    }
+                });
+            }
+        });
     }
 
     /// Accept loop over an already-bound TCP listener; each accepted
@@ -733,68 +782,33 @@ impl Server {
     /// resolved.
     pub fn serve_tcp(&self, listener: &TcpListener) -> io::Result<()> {
         let local = listener.local_addr()?;
-        std::thread::scope(|scope| {
-            for conn in listener.incoming() {
-                if self.shutdown_requested() {
-                    break;
-                }
-                let Ok(stream) = conn else { continue };
-                // Event lines are small and latency-bound; never hold
-                // them back for coalescing (Nagle + delayed ACK costs
-                // tens of ms per request/reply round trip).
+        // Event lines are small and latency-bound; never hold them back
+        // for coalescing (Nagle + delayed ACK costs tens of ms per
+        // request/reply round trip).
+        let incoming = listener.incoming().map(|conn| {
+            conn.inspect(|stream| {
                 let _ = stream.set_nodelay(true);
-                let Some(slot) = self.conns.acquire() else {
-                    self.reject_connection(stream);
-                    continue;
-                };
-                scope.spawn(move || {
-                    let _slot = slot;
-                    let Ok(read_half) = stream.try_clone() else {
-                        return;
-                    };
-                    self.serve_connection(BufReader::new(read_half), stream);
-                    if self.shutdown_requested() {
-                        // Unblock the accept loop so it can observe the
-                        // flag and stop.
-                        let _ = TcpStream::connect(local);
-                    }
-                });
-            }
+            })
+        });
+        self.accept(incoming, TcpStream::try_clone, || {
+            let _ = TcpStream::connect(local);
         });
         Ok(())
     }
 
     /// Accept loop over an already-bound Unix socket listener; the Unix
     /// counterpart of [`Server::serve_tcp`].
+    ///
+    /// # Errors
+    ///
+    /// Returns the I/O error if the listener's local address cannot be
+    /// resolved.
     #[cfg(unix)]
-    pub fn serve_unix(&self, listener: &std::os::unix::net::UnixListener) -> io::Result<()> {
-        let path = listener
-            .local_addr()?
-            .as_pathname()
-            .map(std::path::Path::to_path_buf);
-        std::thread::scope(|scope| {
-            for conn in listener.incoming() {
-                if self.shutdown_requested() {
-                    break;
-                }
-                let Ok(stream) = conn else { continue };
-                let Some(slot) = self.conns.acquire() else {
-                    self.reject_connection(stream);
-                    continue;
-                };
-                let path = path.clone();
-                scope.spawn(move || {
-                    let _slot = slot;
-                    let Ok(read_half) = stream.try_clone() else {
-                        return;
-                    };
-                    self.serve_connection(BufReader::new(read_half), stream);
-                    if self.shutdown_requested() {
-                        if let Some(path) = path {
-                            let _ = std::os::unix::net::UnixStream::connect(path);
-                        }
-                    }
-                });
+    pub fn serve_unix(&self, listener: &UnixListener) -> io::Result<()> {
+        let path = listener.local_addr()?.as_pathname().map(Path::to_path_buf);
+        self.accept(listener.incoming(), UnixStream::try_clone, || {
+            if let Some(path) = &path {
+                let _ = UnixStream::connect(path);
             }
         });
         Ok(())
@@ -808,53 +822,44 @@ impl Server {
     /// Returns [`ServeError`] when the endpoint cannot be bound (or is a
     /// Unix socket on a non-Unix platform).
     pub fn listen(&self, endpoint: &Endpoint) -> Result<(), ServeError> {
-        let workers = self.worker_count();
+        let bind = |source| ServeError::Bind {
+            endpoint: endpoint.to_string(),
+            source,
+        };
+        let announce = |bound: &dyn fmt::Display| {
+            eprintln!(
+                "ddtr serve: listening on {bound} (workers={}, jobs={})",
+                self.worker_count(),
+                self.session.jobs()
+            );
+        };
         match endpoint {
             Endpoint::Stdio => {
-                let stdin = io::stdin();
-                eprintln!(
-                    "ddtr serve: listening on stdio (workers={workers}, jobs={})",
-                    self.session.jobs()
-                );
-                self.serve_connection(stdin.lock(), io::stdout());
-                Ok(())
+                announce(endpoint);
+                self.serve_connection(io::stdin().lock(), io::stdout());
             }
             Endpoint::Tcp(addr) => {
-                let listener = TcpListener::bind(addr.as_str()).map_err(|e| ServeError::Bind {
-                    endpoint: format!("tcp:{addr}"),
-                    source: e,
-                })?;
-                eprintln!(
-                    "ddtr serve: listening on tcp:{} (workers={workers}, jobs={})",
-                    listener.local_addr()?,
-                    self.session.jobs()
-                );
+                let listener = TcpListener::bind(addr.as_str()).map_err(bind)?;
+                announce(&format!("tcp:{}", listener.local_addr()?));
                 self.serve_tcp(&listener)?;
-                Ok(())
             }
             #[cfg(unix)]
             Endpoint::Unix(path) => {
-                let listener =
-                    std::os::unix::net::UnixListener::bind(path).map_err(|e| ServeError::Bind {
-                        endpoint: format!("unix:{}", path.display()),
-                        source: e,
-                    })?;
-                eprintln!(
-                    "ddtr serve: listening on unix:{} (workers={workers}, jobs={})",
-                    path.display(),
-                    self.session.jobs()
-                );
+                let listener = UnixListener::bind(path).map_err(bind)?;
+                announce(endpoint);
                 let served = self.serve_unix(&listener);
                 let _ = std::fs::remove_file(path);
                 served?;
-                Ok(())
             }
             #[cfg(not(unix))]
-            Endpoint::Unix(path) => Err(ServeError::UnsupportedPlatform(format!(
-                "unix:{} endpoints need a Unix platform",
-                path.display()
-            ))),
+            Endpoint::Unix(path) => {
+                return Err(ServeError::UnsupportedPlatform(format!(
+                    "unix:{} endpoints need a Unix platform",
+                    path.display()
+                )))
+            }
         }
+        Ok(())
     }
 }
 

@@ -65,9 +65,6 @@ struct Row {
     pause: Duration,
     /// Sent before the follow-up `Ping` when the connection stays open.
     follow: Vec<Vec<u8>>,
-    /// Terminal events of the row that record no latency sample: the
-    /// answers to lines rejected before they parse.
-    unsampled: usize,
 }
 
 impl Row {
@@ -81,7 +78,6 @@ impl Row {
             part: None,
             pause: Duration::ZERO,
             follow: Vec::new(),
-            unsampled: 0,
         }
     }
 }
@@ -142,7 +138,6 @@ fn rows(code: ErrorCode) -> (Option<Name>, Vec<Row>) {
                     max_request_bytes: 64,
                     ..config()
                 },
-                unsampled: 1,
                 ..Row::new("an oversized line", vec![huge.into_bytes()], None)
             };
             (Some(names::SERVE_REJECT_OVERSIZE), vec![row])
@@ -150,31 +145,43 @@ fn rows(code: ErrorCode) -> (Option<Name>, Vec<Row>) {
         ErrorCode::Parse => (
             None,
             vec![
-                Row {
-                    unsampled: 1,
-                    ..Row::new("a line that is not JSON", vec![b"not json".to_vec()], None)
-                },
-                Row {
-                    unsampled: 1,
-                    ..Row::new("a line that is not UTF-8", vec![vec![0xff, 0xfe]], None)
-                },
+                Row::new("a line that is not JSON", vec![b"not json".to_vec()], None),
+                Row::new("a line that is not UTF-8", vec![vec![0xff, 0xfe]], None),
             ],
         ),
-        ErrorCode::RateLimited => (
-            Some(names::SERVE_REJECT_RATE),
-            vec![Row {
+        ErrorCode::RateLimited => {
+            // Two lines a second; every line that gets an answer spends
+            // one, whether it parses or not.
+            let limited = |what, lines, id| Row {
                 cfg: ServerConfig {
                     rate_limit: Some(2),
                     ..config()
                 },
                 pause: Duration::from_millis(1100),
-                ..Row::new(
-                    "a third ping within the second",
-                    vec![ping("a"), ping("b"), ping("c")],
-                    Some("c"),
-                )
-            }],
-        ),
+                ..Row::new(what, lines, id)
+            };
+            let garbage = || b"not json".to_vec();
+            (
+                Some(names::SERVE_REJECT_RATE),
+                vec![
+                    limited(
+                        "a third ping within the second",
+                        vec![ping("a"), ping("b"), ping("c")],
+                        Some("c"),
+                    ),
+                    limited(
+                        "a ping after two unparseable lines",
+                        vec![garbage(), garbage(), ping("c")],
+                        Some("c"),
+                    ),
+                    limited(
+                        "an unparseable line after two pings",
+                        vec![ping("a"), ping("b"), garbage()],
+                        None,
+                    ),
+                ],
+            )
+        }
         ErrorCode::AuthRequired => (
             Some(names::SERVE_REJECT_AUTH),
             vec![
@@ -534,9 +541,9 @@ fn every_rejection_at_the_edge_is_coded_counted_and_sampled() {
                 .map(|&name| u64::from(Some(name) == counter))
                 .collect();
             assert_eq!(counters, expected, "{what}: reject counters moved");
-            let terminals = events.iter().filter(|e| e.is_terminal()).count();
+            // One sample per answered line, rejected or not.
             let sampled = match row.via {
-                Via::Lines => terminals - row.unsampled,
+                Via::Lines => events.iter().filter(|e| e.is_terminal()).count(),
                 // A turned-away connection sends no request line.
                 Via::Gate(_) => 0,
             };
